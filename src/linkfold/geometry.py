@@ -23,15 +23,6 @@ def vsub(a: Point, b: Point) -> Vec:
     return (a[0] - b[0], a[1] - b[1])
 
 
-def vadd(a: Point, b: Vec) -> Point:
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def vscale(v: Vec, k) -> Vec:
-    k = Fraction(k)
-    return (v[0] * k, v[1] * k)
-
-
 def dot(a: Vec, b: Vec) -> Fraction:
     return a[0] * b[0] + a[1] * b[1]
 

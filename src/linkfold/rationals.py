@@ -20,9 +20,16 @@ Scalar = Union[int, Fraction]
 _DEC_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$")
 _FRAC_RE = re.compile(r"^([+-]?\d+)\s*/\s*(\d+)$")
 
+# CPython's default cap on int-string digits; 10**e costs time and memory
+# that grow with e, so a larger decimal exponent is refused up front
+MAX_DECIMAL_EXPONENT = 4300
+
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q' or a decimal string into an exact Fraction."""
+    """Parse 'p/q' or a decimal string into an exact Fraction.
+
+    Decimal exponents are limited to |e| <= MAX_DECIMAL_EXPONENT.
+    """
     s = text.strip()
     m = _FRAC_RE.match(s)
     if m:
@@ -30,7 +37,15 @@ def parse_rational(text: str) -> Fraction:
         if den == 0:
             raise ValueError(f"zero denominator in {text!r}")
         return Fraction(num, den)
-    if _DEC_RE.match(s):
+    m = _DEC_RE.match(s)
+    if m:
+        digits = (m.group(3) or "e0")[1:].lstrip("+-").lstrip("0") or "0"
+        # the length test keeps int() off a huge digit string
+        if len(digits) > 4 or int(digits) > MAX_DECIMAL_EXPONENT:
+            raise ValueError(
+                f"decimal exponent of magnitude above {MAX_DECIMAL_EXPONENT} "
+                f"in {text!r}"
+            )
         return Fraction(s)
     raise ValueError(f"not a rational literal: {text!r}")
 

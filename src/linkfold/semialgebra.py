@@ -9,6 +9,8 @@ be evaluated exactly on rational assignments.
 
 from __future__ import annotations
 
+import functools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +23,12 @@ Monomial = tuple[str, ...]
 
 @dataclass(frozen=True)
 class Poly:
-    """Multivariate polynomial with exact rational coefficients."""
+    """Multivariate polynomial with exact rational coefficients.
+
+    Terms are sorted by monomial (a sorted tuple of variable names) and
+    carry nonzero int or Fraction coefficients; equal polynomials have
+    equal terms and serialize to the same text.
+    """
 
     terms: tuple[tuple[Monomial, Fraction], ...]
 
@@ -62,15 +69,6 @@ class Poly:
                 m = tuple(sorted(m1 + m2))
                 data[m] = data.get(m, Fraction(0)) + c1 * c2
         return Poly._norm(data)
-
-    def evaluate(self, assignment: dict[str, Fraction]) -> Fraction:
-        total = Fraction(0)
-        for m, c in self.terms:
-            v = c
-            for name in m:
-                v *= assignment[name]
-            total += v
-        return total
 
 
 @dataclass(frozen=True)
@@ -116,22 +114,46 @@ class ConstraintSystem:
     asserts: tuple[TaggedAssert, ...]
 
 
-def _xy(vertex: str) -> tuple[Poly, Poly]:
-    return Poly.var(f"x_{vertex}"), Poly.var(f"y_{vertex}")
+def _bilinear(terms) -> Poly:
+    """Sum of c * u * v over (u, v, c) with int c, normalised.
+
+    Terms whose monomials coincide (a vertex named twice, as when two
+    bars share a joint) merge, and those that cancel drop out.
+    """
+    data: dict[Monomial, int] = {}
+    for u, v, c in terms:
+        m = (u, v) if u <= v else (v, u)
+        data[m] = data.get(m, 0) + c
+    return Poly._norm(data)
+
+
+def _xy(vertex: str) -> tuple[str, str]:
+    return f"x_{vertex}", f"y_{vertex}"
 
 
 def _sq_poly(tail: str, head: str) -> Poly:
+    """Squared distance |tail - head|^2."""
     xt, yt = _xy(tail)
     xh, yh = _xy(head)
-    dx, dy = xt - xh, yt - yh
-    return dx * dx + dy * dy
+    return _bilinear(
+        (
+            (xt, xt, 1), (xt, xh, -2), (xh, xh, 1),
+            (yt, yt, 1), (yt, yh, -2), (yh, yh, 1),
+        )
+    )
 
 
 def _orient_poly(a: str, b: str, c: str) -> Poly:
+    """Cross product (b - a) x (c - a)."""
     xa, ya = _xy(a)
     xb, yb = _xy(b)
     xc, yc = _xy(c)
-    return (xb - xa) * (yc - ya) - (yb - ya) * (xc - xa)
+    return _bilinear(
+        (
+            (xa, yb, 1), (xa, yc, -1), (xb, yc, 1),
+            (xb, ya, -1), (xc, ya, 1), (xc, yb, -1),
+        )
+    )
 
 
 def _dot_poly(a: str, b: str, c: str, d: str) -> Poly:
@@ -140,7 +162,30 @@ def _dot_poly(a: str, b: str, c: str, d: str) -> Poly:
     xb, yb = _xy(b)
     xc, yc = _xy(c)
     xd, yd = _xy(d)
-    return (xb - xa) * (xd - xc) + (yb - ya) * (yd - yc)
+    return _bilinear(
+        (
+            (xb, xd, 1), (xb, xc, -1), (xa, xd, -1), (xa, xc, 1),
+            (yb, yd, 1), (yb, yc, -1), (ya, yd, -1), (ya, yc, 1),
+        )
+    )
+
+
+def _coincide_node(u: str, v: str) -> And:
+    """x_u = x_v and y_u = y_v."""
+    if u == v:
+        return And(Atom("=", Poly(())), Atom("=", Poly(())))
+    (xu, yu), (xv, yv) = _xy(u), _xy(v)
+    return And(
+        Atom("=", Poly._norm({(xu,): 1, (xv,): -1})),
+        Atom("=", Poly._norm({(yu,): 1, (yv,): -1})),
+    )
+
+
+def _shift(poly: Poly, value: Fraction) -> Poly:
+    """poly - value, for a poly without a constant term."""
+    if value == 0:
+        return poly
+    return Poly((((), -value),) + poly.terms)
 
 
 def _variables(linkage: Linkage) -> tuple[str, ...]:
@@ -151,75 +196,111 @@ def _variables(linkage: Linkage) -> tuple[str, ...]:
     return tuple(out)
 
 
-def emit_conf(linkage: Linkage, epsilon) -> ConstraintSystem:
-    """Length-band constraints for Conf_epsilon."""
-    eps = Fraction(epsilon)
+def _band_asserts(linkage: Linkage, eps: Fraction, sq) -> list[TaggedAssert]:
     if eps < 0:
         raise LinkageError("negative epsilon")
     asserts: list[TaggedAssert] = []
     for e in linkage.edges:
-        sq = _sq_poly(e.tail, e.head)
+        poly = sq(e.tail, e.head)
         if eps == 0:
-            node = Atom("=", sq - Poly.const(e.rest_length**2))
+            node = Atom("=", _shift(poly, e.rest_length**2))
             asserts.append(TaggedAssert(f"length:{e.id}", node))
             continue
-        upper = Atom("<=", sq - Poly.const((e.rest_length + eps) ** 2))
+        upper = Atom("<=", _shift(poly, (e.rest_length + eps) ** 2))
         asserts.append(TaggedAssert(f"length-upper:{e.id}", upper))
         if e.rest_length >= eps:
-            lower = Atom(">=", sq - Poly.const((e.rest_length - eps) ** 2))
+            lower = Atom(">=", _shift(poly, (e.rest_length - eps) ** 2))
             asserts.append(TaggedAssert(f"length-lower:{e.id}", lower))
+    return asserts
+
+
+def emit_conf(linkage: Linkage, epsilon) -> ConstraintSystem:
+    """Length-band constraints for Conf_epsilon."""
+    asserts = _band_asserts(linkage, Fraction(epsilon), _sq_poly)
     return ConstraintSystem(_variables(linkage), tuple(asserts))
 
 
-def _on_closed_segment_node(w: str, r: str, s: str) -> And:
-    return And(
-        Atom("=", _orient_poly(r, s, w)),
-        Atom("<=", _dot_poly(r, w, s, w)),
-    )
+class _ShortPaths:
+    """Breadth-first paths through edges of rest length <= eps.
 
+    One adjacency serves the whole emission, and one BFS parent map is
+    kept per source vertex. Neighbours are visited in edge order, so
+    the path to b is the one a search from a that stops at b finds.
+    """
 
-def _short_path(
-    linkage: Linkage, eps: Fraction, a: str, b: str
-) -> list[str] | None:
-    """BFS path a -> b through edges of rest length <= eps, as edge ids."""
-    if a == b:
-        return []
-    adj: dict[str, list[tuple[str, str]]] = {v: [] for v in linkage.vertices}
-    for e in linkage.edges:
-        if e.rest_length <= eps:
-            adj[e.tail].append((e.id, e.head))
-            adj[e.head].append((e.id, e.tail))
-    prev: dict[str, tuple[str, str]] = {}
-    frontier = [a]
-    seen = {a}
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for eid, w in adj[u]:
-                if w in seen:
-                    continue
-                seen.add(w)
-                prev[w] = (u, eid)
-                if w == b:
-                    path = []
-                    cur = b
-                    while cur != a:
-                        pu, pe = prev[cur]
-                        path.append(pe)
-                        cur = pu
-                    return list(reversed(path))
-                nxt.append(w)
-        frontier = nxt
-    return None
+    def __init__(self, linkage: Linkage, eps: Fraction) -> None:
+        adj: dict[str, list[tuple[str, str]]] = {v: [] for v in linkage.vertices}
+        for e in linkage.edges:
+            if e.rest_length <= eps:
+                adj[e.tail].append((e.id, e.head))
+                adj[e.head].append((e.id, e.tail))
+        self._adj = adj
+        self._parents: dict[str, dict[str, tuple[str, str]]] = {}
+
+    def _bfs(self, a: str) -> dict[str, tuple[str, str]]:
+        adj = self._adj
+        prev: dict[str, tuple[str, str]] = {}
+        frontier = [a]
+        seen = {a}
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for eid, w in adj[u]:
+                    if w in seen:
+                        continue
+                    seen.add(w)
+                    prev[w] = (u, eid)
+                    nxt.append(w)
+            frontier = nxt
+        return prev
+
+    def path(self, a: str, b: str) -> list[str] | None:
+        """Edge ids of the path a -> b, or None when b is out of reach."""
+        if a == b:
+            return []
+        prev = self._parents.get(a)
+        if prev is None:
+            prev = self._parents[a] = self._bfs(a)
+        if b not in prev:
+            return None
+        path = []
+        cur = b
+        while cur != a:
+            cur, eid = prev[cur]
+            path.append(eid)
+        path.reverse()
+        return path
 
 
 def emit_nconf(linkage: Linkage, epsilon) -> ConstraintSystem:
     """Length bands plus exact nontouching separation constraints."""
     eps = Fraction(epsilon)
-    base = emit_conf(linkage, eps)
-    asserts = list(base.asserts)
+    # caches owned by this call: each polynomial is built once per vertex
+    # tuple, and every atom that needs it shares the object, which
+    # serialize and eval_system then render and evaluate once
+    sq = functools.cache(_sq_poly)
+    orient = functools.cache(_orient_poly)
+    dot = functools.cache(_dot_poly)
+    asserts = _band_asserts(linkage, eps, sq)
     edges = linkage.edges
     by_id = {e.id: e for e in edges}
+    paths = _ShortPaths(linkage, eps)
+
+    def on_closed_segment(w: str, r: str, s: str) -> And:
+        return And(Atom("=", orient(r, s, w)), Atom("<=", dot(r, w, s, w)))
+
+    @functools.cache
+    def collapsed_sum(a: str, b: str) -> Poly | None:
+        """Sum of squared lengths along the short path a -> b, if any."""
+        path = paths.path(a, b)
+        if path is None:
+            return None
+        data: dict[Monomial, int] = {}
+        for eid in path:
+            pe = by_id[eid]
+            for m, c in sq(pe.tail, pe.head).terms:
+                data[m] = data.get(m, 0) + c
+        return Poly._norm(data)
 
     for i in range(len(edges)):
         for j in range(i + 1, len(edges)):
@@ -232,58 +313,48 @@ def emit_nconf(linkage: Linkage, epsilon) -> ConstraintSystem:
                 for op in (">", "<"):
                     disjuncts.append(
                         And(
-                            Atom(op, _orient_poly(aa, bb, cc)),
-                            Atom(op, _orient_poly(aa, bb, dd)),
+                            Atom(op, orient(aa, bb, cc)),
+                            Atom(op, orient(aa, bb, dd)),
                         )
                     )
             # axial separations along each bar's own direction
             for (aa, bb), (cc, dd) in (((p, q), (r, s)), ((r, s), (p, q))):
                 disjuncts.append(
                     And(
-                        Atom(">", _dot_poly(bb, cc, aa, bb)),
-                        Atom(">", _dot_poly(bb, dd, aa, bb)),
+                        Atom(">", dot(bb, cc, aa, bb)),
+                        Atom(">", dot(bb, dd, aa, bb)),
                     )
                 )
                 disjuncts.append(
                     And(
-                        Atom("<", _dot_poly(aa, cc, aa, bb)),
-                        Atom("<", _dot_poly(aa, dd, aa, bb)),
+                        Atom("<", dot(aa, cc, aa, bb)),
+                        Atom("<", dot(aa, dd, aa, bb)),
                     )
                 )
             # two collapsed bars may coexist at distinct points
-            xp, yp = _xy(p)
-            xr, yr = _xy(r)
             disjuncts.append(
                 And(
-                    Atom("=", _sq_poly(p, q)),
-                    Atom("=", _sq_poly(r, s)),
-                    Not(And(Atom("=", xp - xr), Atom("=", yp - yr))),
+                    Atom("=", sq(p, q)),
+                    Atom("=", sq(r, s)),
+                    Not(_coincide_node(p, r)),
                 )
             )
             # allowances: touching only at endpoints merged via a
             # collapsed short path
             for a, other_i in ((p, q), (q, p)):
                 for b, other_j in ((r, s), (s, r)):
-                    path = _short_path(linkage, eps, a, b)
-                    if path is None:
+                    psum = collapsed_sum(a, b)
+                    if psum is None:
                         continue
-                    if path:
-                        psum = Poly.const(0)
-                        for eid in path:
-                            pe = by_id[eid]
-                            psum = psum + _sq_poly(pe.tail, pe.head)
-                        collapsed: object = Atom("=", psum)
-                    else:
-                        collapsed = Atom("=", Poly.const(0))
                     contact_ok = Or(
                         And(
-                            Not(_on_closed_segment_node(other_i, r, s)),
-                            Not(_on_closed_segment_node(other_j, p, q)),
+                            Not(on_closed_segment(other_i, r, s)),
+                            Not(on_closed_segment(other_j, p, q)),
                         ),
-                        Atom("=", _sq_poly(p, q)),
-                        Atom("=", _sq_poly(r, s)),
+                        Atom("=", sq(p, q)),
+                        Atom("=", sq(r, s)),
                     )
-                    disjuncts.append(And(collapsed, contact_ok))
+                    disjuncts.append(And(Atom("=", psum), contact_ok))
             asserts.append(
                 TaggedAssert(f"apart:{ei.id}:{ej.id}", Or(*disjuncts))
             )
@@ -296,16 +367,11 @@ def emit_nconf(linkage: Linkage, epsilon) -> ConstraintSystem:
     for w in linkage.vertices:
         if w in attached:
             continue
-        xw, yw = _xy(w)
         for v in linkage.vertices:
             if v == w:
                 continue
-            xv, yv = _xy(v)
             asserts.append(
-                TaggedAssert(
-                    f"apart-vertex:{w}:{v}",
-                    Not(And(Atom("=", xw - xv), Atom("=", yw - yv))),
-                )
+                TaggedAssert(f"apart-vertex:{w}:{v}", Not(_coincide_node(w, v)))
             )
         for e in edges:
             asserts.append(
@@ -313,13 +379,13 @@ def emit_nconf(linkage: Linkage, epsilon) -> ConstraintSystem:
                     f"clear:{w}:{e.id}",
                     Not(
                         And(
-                            Atom("=", _orient_poly(e.tail, e.head, w)),
-                            Atom("<", _dot_poly(e.tail, w, e.head, w)),
+                            Atom("=", orient(e.tail, e.head, w)),
+                            Atom("<", dot(e.tail, w, e.head, w)),
                         )
                     ),
                 )
             )
-    return ConstraintSystem(base.variables, tuple(asserts))
+    return ConstraintSystem(_variables(linkage), tuple(asserts))
 
 
 @dataclass(frozen=True)
@@ -328,34 +394,62 @@ class EvalReport:
     failures: tuple[str, ...]
 
 
-def _eval_node(node, assignment: dict[str, Fraction]) -> bool:
-    if isinstance(node, Atom):
-        v = node.poly.evaluate(assignment)
-        return {
-            "=": v == 0,
-            "<=": v <= 0,
-            ">=": v >= 0,
-            "<": v < 0,
-            ">": v > 0,
-        }[node.op]
-    if isinstance(node, And):
-        return all(_eval_node(k, assignment) for k in node.items)
-    if isinstance(node, Or):
-        return any(_eval_node(k, assignment) for k in node.items)
-    if isinstance(node, Not):
-        return not _eval_node(node.item, assignment)
-    raise LinkageError(f"unknown node {node!r}")
+# signs of a polynomial's value that satisfy "value <op> 0"
+_SIGNS_OK = {
+    "=": (0,),
+    "<=": (-1, 0),
+    ">=": (0, 1),
+    "<": (-1,),
+    ">": (1,),
+}
 
 
 def eval_system(system: ConstraintSystem, assignment) -> EvalReport:
-    """Exact truth of every assert under a rational assignment."""
+    """Exact truth of every assert under a rational assignment.
+
+    The assignment is scaled to integers by the LCM D of its
+    denominators. A polynomial of degree g is evaluated as D^g times
+    its value, each term c*m weighted by D^(g - deg m), which has the
+    same sign and is an integer wherever c is. Each distinct Poly
+    object is evaluated at most once.
+    """
     values = {k: Fraction(v) for k, v in assignment.items()}
     for name in system.variables:
         if name not in values:
             raise LinkageError(f"assignment missing variable {name!r}")
-    failures = tuple(
-        ta.family for ta in system.asserts if not _eval_node(ta.node, values)
-    )
+    scale = math.lcm(*(v.denominator for v in values.values()))
+    ints = {k: v.numerator * (scale // v.denominator) for k, v in values.items()}
+    powers = [1]
+    signs: dict[int, int] = {}
+
+    def sign_of(poly: Poly) -> int:
+        s = signs.get(id(poly))
+        if s is None:
+            terms = poly.terms
+            g = max((len(m) for m, _ in terms), default=0)
+            while len(powers) <= g:
+                powers.append(powers[-1] * scale)
+            total = 0
+            for m, c in terms:
+                v = c * powers[g - len(m)]
+                for name in m:
+                    v *= ints[name]
+                total += v
+            s = signs[id(poly)] = (total > 0) - (total < 0)
+        return s
+
+    def holds(node) -> bool:
+        if isinstance(node, Atom):
+            return sign_of(node.poly) in _SIGNS_OK[node.op]
+        if isinstance(node, And):
+            return all(holds(k) for k in node.items)
+        if isinstance(node, Or):
+            return any(holds(k) for k in node.items)
+        if isinstance(node, Not):
+            return not holds(node.item)
+        raise LinkageError(f"unknown node {node!r}")
+
+    failures = tuple(ta.family for ta in system.asserts if not holds(ta.node))
     return EvalReport(not failures, failures)
 
 
@@ -378,49 +472,77 @@ def _literal(value: Fraction) -> str:
     return f"(/ {value.numerator} {value.denominator})"
 
 
-def _poly_sexp(poly: Poly) -> str:
-    if not poly.terms:
-        return "0"
-    parts = []
-    for m, c in poly.terms:
-        if not m:
-            parts.append(_literal(c))
-        elif c == 1 and len(m) == 1:
-            parts.append(_symbol(m[0]))
-        else:
-            factors = " ".join(_symbol(v) for v in m)
-            parts.append(f"(* {_literal(c)} {factors})")
-    if len(parts) == 1:
-        return parts[0]
-    return f"(+ {' '.join(parts)})"
-
-
-def _node_sexp(node) -> str:
-    if isinstance(node, Atom):
-        return f"({node.op} {_poly_sexp(node.poly)} 0)"
-    if isinstance(node, And):
-        if not node.items:
-            return "true"
-        inner = " ".join(_node_sexp(k) for k in node.items)
-        return f"(and {inner})" if len(node.items) > 1 else inner
-    if isinstance(node, Or):
-        if not node.items:
-            return "false"
-        inner = " ".join(_node_sexp(k) for k in node.items)
-        return f"(or {inner})" if len(node.items) > 1 else inner
-    if isinstance(node, Not):
-        return f"(not {_node_sexp(node.item)})"
-    raise LinkageError(f"unknown node {node!r}")
+def _term_sexp(m: Monomial, c: Fraction, symbol) -> str:
+    if not m:
+        return _literal(c)
+    if c == 1 and len(m) == 1:
+        return symbol(m[0])
+    factors = " ".join(symbol(v) for v in m)
+    return f"(* {_literal(c)} {factors})"
 
 
 def serialize(system: ConstraintSystem) -> str:
+    """SMT-LIB2 text of the system, one "; family:" comment per assert.
+
+    Each distinct symbol, term and Poly object is rendered once.
+    """
+    symbols: dict[str, str] = {}
+    terms: dict[tuple[Monomial, Fraction], str] = {}
+    polys: dict[int, str] = {}
+
+    def symbol(name: str) -> str:
+        text = symbols.get(name)
+        if text is None:
+            text = symbols[name] = _symbol(name)
+        return text
+
+    def poly_sexp(poly: Poly) -> str:
+        parts = []
+        for t in poly.terms:
+            text = terms.get(t)
+            if text is None:
+                text = terms[t] = _term_sexp(t[0], t[1], symbol)
+            parts.append(text)
+        if not parts:
+            return "0"
+        if len(parts) == 1:
+            return parts[0]
+        return f"(+ {' '.join(parts)})"
+
+    def sexp(node) -> str:
+        if isinstance(node, Atom):
+            poly = node.poly
+            text = polys.get(id(poly))
+            if text is None:
+                text = polys[id(poly)] = poly_sexp(poly)
+            return f"({node.op} {text} 0)"
+        if isinstance(node, And):
+            if not node.items:
+                return "true"
+            inner = " ".join(sexp(k) for k in node.items)
+            return f"(and {inner})" if len(node.items) > 1 else inner
+        if isinstance(node, Or):
+            if not node.items:
+                return "false"
+            inner = " ".join(sexp(k) for k in node.items)
+            return f"(or {inner})" if len(node.items) > 1 else inner
+        if isinstance(node, Not):
+            return f"(not {sexp(node.item)})"
+        raise LinkageError(f"unknown node {node!r}")
+
     lines = ["(set-logic QF_NRA)", ""]
     for name in system.variables:
-        lines.append(f"(declare-const {_symbol(name)} Real)")
+        lines.append(f"(declare-const {symbol(name)} Real)")
     lines.append("")
     for ta in system.asserts:
+        # a line break would end the comment and turn the rest into SMT
+        if "\n" in ta.family or "\r" in ta.family:
+            raise LinkageError(
+                f"family {ta.family!r} has a line break; such ids cannot "
+                "appear in SMT output"
+            )
         lines.append(f"; family: {ta.family}")
-        lines.append(f"(assert {_node_sexp(ta.node)})")
+        lines.append(f"(assert {sexp(ta.node)})")
     lines.append("(check-sat)")
     return "\n".join(lines) + "\n"
 

@@ -26,6 +26,15 @@ from linkfold.geometry import (
 )
 from linkfold.linkage import Configuration, Edge, Linkage, is_nontouching
 from linkfold.rationals import SqrtRational
+from linkfold.semialgebra import (
+    And,
+    Atom,
+    ConstraintSystem,
+    Not,
+    Or,
+    Poly,
+    TaggedAssert,
+)
 
 F = Fraction
 
@@ -355,3 +364,202 @@ def random_sa_instance(rng: random.Random):
         lam = F(rng.randint(0, 4), 4)
         P[v] = (a[0] + lam * (b[0] - a[0]), a[1] + lam * (b[1] - a[1]))
     return L, P, eps
+
+
+# Reference emitter: the constraint builders written with generic Poly
+# arithmetic and a fresh breadth-first search per endpoint pair. The
+# library's closed-form, memoised emitter must serialize byte-identically.
+
+
+def _ref_xy(vertex):
+    return Poly.var(f"x_{vertex}"), Poly.var(f"y_{vertex}")
+
+
+def _ref_sq_poly(tail, head):
+    xt, yt = _ref_xy(tail)
+    xh, yh = _ref_xy(head)
+    dx, dy = xt - xh, yt - yh
+    return dx * dx + dy * dy
+
+
+def _ref_orient_poly(a, b, c):
+    xa, ya = _ref_xy(a)
+    xb, yb = _ref_xy(b)
+    xc, yc = _ref_xy(c)
+    return (xb - xa) * (yc - ya) - (yb - ya) * (xc - xa)
+
+
+def _ref_dot_poly(a, b, c, d):
+    """Dot product of vectors (b - a) and (d - c)."""
+    xa, ya = _ref_xy(a)
+    xb, yb = _ref_xy(b)
+    xc, yc = _ref_xy(c)
+    xd, yd = _ref_xy(d)
+    return (xb - xa) * (xd - xc) + (yb - ya) * (yd - yc)
+
+
+def _ref_variables(linkage):
+    out = []
+    for v in linkage.vertices:
+        out.append(f"x_{v}")
+        out.append(f"y_{v}")
+    return tuple(out)
+
+
+def reference_emit_conf(linkage, epsilon):
+    eps = Fraction(epsilon)
+    asserts = []
+    for e in linkage.edges:
+        sq = _ref_sq_poly(e.tail, e.head)
+        if eps == 0:
+            node = Atom("=", sq - Poly.const(e.rest_length**2))
+            asserts.append(TaggedAssert(f"length:{e.id}", node))
+            continue
+        upper = Atom("<=", sq - Poly.const((e.rest_length + eps) ** 2))
+        asserts.append(TaggedAssert(f"length-upper:{e.id}", upper))
+        if e.rest_length >= eps:
+            lower = Atom(">=", sq - Poly.const((e.rest_length - eps) ** 2))
+            asserts.append(TaggedAssert(f"length-lower:{e.id}", lower))
+    return ConstraintSystem(_ref_variables(linkage), tuple(asserts))
+
+
+def _ref_on_closed_segment_node(w, r, s):
+    return And(
+        Atom("=", _ref_orient_poly(r, s, w)),
+        Atom("<=", _ref_dot_poly(r, w, s, w)),
+    )
+
+
+def _ref_short_path(linkage, eps, a, b):
+    """BFS path a -> b through edges of rest length <= eps, as edge ids."""
+    if a == b:
+        return []
+    adj = {v: [] for v in linkage.vertices}
+    for e in linkage.edges:
+        if e.rest_length <= eps:
+            adj[e.tail].append((e.id, e.head))
+            adj[e.head].append((e.id, e.tail))
+    prev = {}
+    frontier = [a]
+    seen = {a}
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for eid, w in adj[u]:
+                if w in seen:
+                    continue
+                seen.add(w)
+                prev[w] = (u, eid)
+                if w == b:
+                    path = []
+                    cur = b
+                    while cur != a:
+                        pu, pe = prev[cur]
+                        path.append(pe)
+                        cur = pu
+                    return list(reversed(path))
+                nxt.append(w)
+        frontier = nxt
+    return None
+
+
+def reference_emit_nconf(linkage, epsilon):
+    eps = Fraction(epsilon)
+    base = reference_emit_conf(linkage, eps)
+    asserts = list(base.asserts)
+    edges = linkage.edges
+    by_id = {e.id: e for e in edges}
+
+    for i in range(len(edges)):
+        for j in range(i + 1, len(edges)):
+            ei, ej = edges[i], edges[j]
+            p, q = ei.tail, ei.head
+            r, s = ej.tail, ej.head
+            disjuncts = []
+            for (aa, bb), (cc, dd) in (((p, q), (r, s)), ((r, s), (p, q))):
+                for op in (">", "<"):
+                    disjuncts.append(
+                        And(
+                            Atom(op, _ref_orient_poly(aa, bb, cc)),
+                            Atom(op, _ref_orient_poly(aa, bb, dd)),
+                        )
+                    )
+            for (aa, bb), (cc, dd) in (((p, q), (r, s)), ((r, s), (p, q))):
+                disjuncts.append(
+                    And(
+                        Atom(">", _ref_dot_poly(bb, cc, aa, bb)),
+                        Atom(">", _ref_dot_poly(bb, dd, aa, bb)),
+                    )
+                )
+                disjuncts.append(
+                    And(
+                        Atom("<", _ref_dot_poly(aa, cc, aa, bb)),
+                        Atom("<", _ref_dot_poly(aa, dd, aa, bb)),
+                    )
+                )
+            xp, yp = _ref_xy(p)
+            xr, yr = _ref_xy(r)
+            disjuncts.append(
+                And(
+                    Atom("=", _ref_sq_poly(p, q)),
+                    Atom("=", _ref_sq_poly(r, s)),
+                    Not(And(Atom("=", xp - xr), Atom("=", yp - yr))),
+                )
+            )
+            for a, other_i in ((p, q), (q, p)):
+                for b, other_j in ((r, s), (s, r)):
+                    path = _ref_short_path(linkage, eps, a, b)
+                    if path is None:
+                        continue
+                    if path:
+                        psum = Poly.const(0)
+                        for eid in path:
+                            pe = by_id[eid]
+                            psum = psum + _ref_sq_poly(pe.tail, pe.head)
+                        collapsed = Atom("=", psum)
+                    else:
+                        collapsed = Atom("=", Poly.const(0))
+                    contact_ok = Or(
+                        And(
+                            Not(_ref_on_closed_segment_node(other_i, r, s)),
+                            Not(_ref_on_closed_segment_node(other_j, p, q)),
+                        ),
+                        Atom("=", _ref_sq_poly(p, q)),
+                        Atom("=", _ref_sq_poly(r, s)),
+                    )
+                    disjuncts.append(And(collapsed, contact_ok))
+            asserts.append(
+                TaggedAssert(f"apart:{ei.id}:{ej.id}", Or(*disjuncts))
+            )
+
+    attached = set()
+    for e in edges:
+        attached.add(e.tail)
+        attached.add(e.head)
+    for w in linkage.vertices:
+        if w in attached:
+            continue
+        xw, yw = _ref_xy(w)
+        for v in linkage.vertices:
+            if v == w:
+                continue
+            xv, yv = _ref_xy(v)
+            asserts.append(
+                TaggedAssert(
+                    f"apart-vertex:{w}:{v}",
+                    Not(And(Atom("=", xw - xv), Atom("=", yw - yv))),
+                )
+            )
+        for e in edges:
+            asserts.append(
+                TaggedAssert(
+                    f"clear:{w}:{e.id}",
+                    Not(
+                        And(
+                            Atom("=", _ref_orient_poly(e.tail, e.head, w)),
+                            Atom("<", _ref_dot_poly(e.tail, w, e.head, w)),
+                        )
+                    ),
+                )
+            )
+    return ConstraintSystem(base.variables, tuple(asserts))

@@ -332,6 +332,25 @@ def test_emit_sa(capsys, tmp_path):
     code, _, _ = run(capsys, "emit-sa", doc, "--epsilon", "nope")
     assert code == 1
 
+    code, out, err = run(capsys, "emit-sa", doc, "--epsilon", "1e1000000")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "'1e1000000'" in err
+
+
+def test_emit_sa_rejects_line_break_ids(capsys, tmp_path):
+    # the id would otherwise end its "; family:" comment and inject SMT
+    L = mk_linkage([("e\n(assert false)", "a", "b", 1)])
+    C = conf(L, {"a": (0, 0), "b": (1, 0)})
+    doc = write(tmp_path / "inject.json", write_document(linkage=L, configuration=C))
+    out_file = tmp_path / "out.smt2"
+    for extra in ((), ("--out", str(out_file))):
+        code, out, err = run(capsys, "emit-sa", doc, "--check", *extra)
+        assert code == 1
+        assert "(assert false)" not in out
+        assert err.startswith("error: ") and "line break" in err
+        assert "satisfies" not in err
+    assert not out_file.exists()
+
 
 def test_slender_check(capsys, tmp_path):
     iso = Adornment(((0, 0), (2, 0), (1, 1)), (0, 1))

@@ -54,6 +54,12 @@ def test_parse_malformed_fraction_path():
         parse_linkage_file(text)
     assert exc.value.path == "$.edges[0].length"
 
+    text = MINIMAL.replace('"length": "1"', '"length": "1e1000000"')
+    with pytest.raises(DocumentError) as exc:
+        parse_linkage_file(text)
+    assert exc.value.path == "$.edges[0].length"
+    assert "'1e1000000'" in str(exc.value)
+
     with pytest.raises(DocumentError) as exc:
         parse_linkage_file("{not json")
     assert exc.value.path == "$"

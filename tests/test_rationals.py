@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from linkfold.rationals import (
+    MAX_DECIMAL_EXPONENT,
     SqrtRational,
     exact_sqrt,
     format_rational,
@@ -31,6 +32,18 @@ def test_parse_rational_rejects_garbage():
     for bad in ("1/0", "abc", "", "1/2/3", "0x10", "1.2.3"):
         with pytest.raises(ValueError):
             parse_rational(bad)
+
+
+def test_parse_rational_exponent_cap():
+    assert MAX_DECIMAL_EXPONENT == 4300
+    assert parse_rational("1e4300") == 10**4300
+    assert parse_rational("-2.5E-4300") == F(-25, 10**4301)
+    assert parse_rational("3e+0004300") == 3 * 10**4300
+    for bad in ("1e4301", "1e-4301", "1E+1000000", "2.5e00004301",
+                "1e" + "9" * 10000):
+        with pytest.raises(ValueError) as exc:
+            parse_rational(bad)
+        assert repr(bad) in str(exc.value)
 
 
 def test_format_parse_round_trip():

@@ -13,6 +13,8 @@ from helpers import (
     random_linkage,
     random_sa_instance,
     random_zero_linkage,
+    reference_emit_conf,
+    reference_emit_nconf,
 )
 from linkfold.errors import LinkageError
 from linkfold.linkage import (
@@ -21,7 +23,13 @@ from linkfold.linkage import (
     is_nontouching,
 )
 from linkfold.semialgebra import (
+    And,
     Atom,
+    ConstraintSystem,
+    Not,
+    Or,
+    Poly,
+    TaggedAssert,
     emit_conf,
     emit_nconf,
     eval_system,
@@ -188,6 +196,97 @@ def test_parse_quoted_symbols():
     text = serialize(S)
     assert "|x_q r|" in text
     assert parse_constraints(text) == S
+
+
+def test_serialize_rejects_line_break_families():
+    # a line break would end the "; family:" comment and leave the rest
+    # of the id as live SMT
+    for eid in ("e\n(assert false)", "e\r(assert false)"):
+        L = mk_linkage([(eid, "a", "b", 1)])
+        for S in (emit_conf(L, 0), emit_nconf(L, 0)):
+            with pytest.raises(LinkageError):
+                serialize(S)
+    # isolated vertex ids reach families too
+    L = mk_linkage([("e1", "a", "b", 1)], vertices=("a", "b", "w\n"))
+    with pytest.raises(LinkageError):
+        serialize(emit_nconf(L, 0))
+    # elsewhere quoting keeps them harmless
+    L = mk_linkage([("e1", "a", "b\nc", 1)])
+    S = emit_nconf(L, 0)
+    assert parse_constraints(serialize(S)) == S
+
+
+def test_emitter_matches_reference_random():
+    rng = random.Random(2718)
+    kinds = {"zero": 0, "shared": 0, "isolated": 0, "square": 0}
+    for k in range(200):
+        if k % 2:
+            L, _ = random_linkage(rng, 2, 4)
+        else:
+            L, _ = random_zero_linkage(rng)
+        specs = [(e.id, e.tail, e.head, e.rest_length) for e in L.edges]
+        vertices = L.vertices
+        if rng.random() < 0.25:
+            vertices += tuple(f"w{i}" for i in range(rng.randint(1, 2)))
+            kinds["isolated"] += 1
+        if rng.random() < 0.25:
+            # a zero-length square: two shortest paths to its far corner,
+            # so the emitted allowance depends on which one BFS picks
+            a = rng.choice(L.vertices)
+            corners = (a, "q1", "q2", "q3")
+            vertices += corners[1:]
+            for i in range(4):
+                specs.append((f"qe{i}", corners[i], corners[(i + 1) % 4], 0))
+            kinds["square"] += 1
+        L = mk_linkage(specs, vertices=vertices)
+        ends = [v for e in L.edges for v in (e.tail, e.head)]
+        kinds["shared"] += len(set(ends)) < len(ends)
+        kinds["zero"] += any(e.rest_length == 0 for e in L.edges)
+        eps = rng.choice([F(0), F(1, 10), F(1, 4)])
+        assert serialize(emit_conf(L, eps)) == serialize(reference_emit_conf(L, eps))
+        S = emit_nconf(L, eps)
+        assert serialize(S) == serialize(reference_emit_nconf(L, eps))
+    assert min(kinds.values()) >= 30, kinds
+
+
+def test_eval_shared_and_parsed_polys_agree():
+    # emitted systems share Poly objects between atoms; parsed ones
+    # never do, so both sides of the per-object memo are exercised
+    rng = random.Random(4242)
+    for _ in range(60):
+        L, P, eps = random_sa_instance(rng)
+        asg = assignment_of(P)
+        for S in (emit_conf(L, eps), emit_nconf(L, eps)):
+            back = parse_constraints(serialize(S))
+            assert eval_system(back, asg) == eval_system(S, asg)
+
+
+def test_eval_integer_scaling_mixed_degrees():
+    x, y, z = Poly.var("x"), Poly.var("y"), Poly.var("z")
+    half = Poly.const(F(1, 2))
+    # x^3 - x/4 + y*z - 1/3 vanishes at x = 1/2, y = 2/3, z = 1/2;
+    # dropping the D^(g - deg m) weights would not
+    cubic = x * x * x - Poly.const(F(1, 4)) * x + y * z - Poly.const(F(1, 3))
+    assert max(len(m) for m, _ in cubic.terms) == 3
+    shared = y * z - half
+    S = ConstraintSystem(
+        ("x", "y", "z"),
+        (
+            TaggedAssert("cubic-zero", Atom("=", cubic)),
+            TaggedAssert("cubic-not-neg", Not(Atom("<", cubic))),
+            TaggedAssert("shared-lt", Atom("<", shared)),
+            TaggedAssert("shared-ge", Atom(">=", shared)),
+            TaggedAssert("either", Or(And(Atom(">", x), Atom("<=", shared)))),
+            TaggedAssert("const", Atom(">", Poly.const(F(-1, 7)))),
+        ),
+    )
+    asg = {"x": F(1, 2), "y": F(2, 3), "z": F(1, 2)}
+    rep = eval_system(S, asg)
+    assert rep.failures == ("shared-ge", "const")
+    assert eval_system(parse_constraints(serialize(S)), asg) == rep
+    # a second call with another assignment sees no stale values
+    rep2 = eval_system(S, {"x": F(1), "y": F(3, 2), "z": 1})
+    assert rep2.failures == ("cubic-zero", "shared-lt", "either", "const")
 
 
 def test_oracle_equivalence_random():
