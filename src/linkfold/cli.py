@@ -280,7 +280,7 @@ def _cmd_interpolate(args) -> int:
 
 def _cmd_emit_sa(args) -> int:
     doc = _load(args.file, args.strict)
-    linkage = _need_linkage(doc)
+    linkage = _need_configuration(doc)[0] if args.check else _need_linkage(doc)
     eps = parse_rational(args.epsilon) if args.epsilon is not None else doc.epsilon
     system = emit_conf(linkage, eps) if args.kind == "conf" else emit_nconf(linkage, eps)
     _deliver(serialize(system), args.out)
@@ -288,7 +288,7 @@ def _cmd_emit_sa(args) -> int:
         f"{args.kind} system: {len(system.variables)} variables, "
         f"{len(system.asserts)} asserts"
     )
-    if args.check and doc.configuration is not None:
+    if args.check:
         assignment = {}
         for v in linkage.vertices:
             px, py = doc.configuration.placement[v]

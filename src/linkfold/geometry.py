@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Iterable
 
 Point = tuple[Fraction, Fraction]
 Vec = tuple[Fraction, Fraction]
@@ -109,12 +108,6 @@ def compare_angle_descending(u: tuple[int, int], v: tuple[int, int]) -> int:
 
 
 angle_descending_key = cmp_to_key(compare_angle_descending)
-
-
-def sort_directions_descending(
-    dirs: Iterable[tuple[int, int]],
-) -> list[tuple[int, int]]:
-    return sorted(dirs, key=angle_descending_key)
 
 
 def canonical_line(p: Point, q: Point) -> tuple[int, int, int]:

@@ -50,6 +50,18 @@ class DisjointSets:
             by_root.setdefault(self.find(x), []).append(x)
         return list(by_root.values())
 
+    @classmethod
+    def _partition(
+        cls, vertices: Iterable[str], zero_edges: Iterable[Edge]
+    ) -> MergedVertexPartition:
+        """Vertex classes joined by zero_edges, in first-vertex order."""
+        ds = cls(vertices)
+        for e in zero_edges:
+            ds.union(e.tail, e.head)
+        classes = tuple(tuple(c) for c in ds.classes())
+        class_of = {v: i for i, c in enumerate(classes) for v in c}
+        return MergedVertexPartition(classes, class_of)
+
 
 @dataclass(frozen=True)
 class Edge:
@@ -182,7 +194,7 @@ def check_epsilon_related(l1: Linkage, l2: Linkage, epsilon) -> bool:
 
 @dataclass(frozen=True)
 class MergedVertexPartition:
-    """Vertex classes joined by rest-length-zero paths."""
+    """Vertex classes joined by paths of zero-length bars."""
 
     classes: tuple[tuple[str, ...], ...]
     class_of: dict[str, int]
@@ -192,25 +204,61 @@ class MergedVertexPartition:
 
 
 def merged_vertex_partition(linkage: Linkage) -> MergedVertexPartition:
-    ds = DisjointSets(linkage.vertices)
+    return DisjointSets._partition(
+        linkage.vertices, (e for e in linkage.edges if e.rest_length == 0)
+    )
+
+
+def touch_witness(linkage: Linkage, configuration: Configuration) -> tuple | None:
+    """First contact in the configuration, or None if it is nontouching.
+
+    Vertices merge along bars of realized length zero, as is_nontouching
+    describes. The checks run in this order, each naming its offenders:
+    ("vertices coincide", v, w), ("bars cross", e, f), ("bars coincide",
+    e, f), ("endpoint inside bar", e, f) for an endpoint of bar e, and
+    ("vertex inside bar", point, e) for a merged vertex at point.
+    """
+    if configuration.linkage is not linkage and configuration.linkage != linkage:
+        raise LinkageError("configuration belongs to a different linkage")
+    C = configuration
+    segs, zero = [], []
     for e in linkage.edges:
-        if e.rest_length == 0:
-            ds.union(e.tail, e.head)
-    classes = tuple(tuple(c) for c in ds.classes())
-    class_of = {v: i for i, c in enumerate(classes) for v in c}
-    return MergedVertexPartition(classes, class_of)
+        a, b = C.segment(e)
+        if a != b:
+            segs.append((e, a, b))
+        else:
+            zero.append(e)
+    part = DisjointSets._partition(linkage.vertices, zero)
+    cls = part.class_of
 
+    # (a) distinct merged vertices occupy distinct points
+    pointmap: dict[Point, str] = {}
+    for v in linkage.vertices:
+        first = pointmap.setdefault(C.placement[v], v)
+        if cls[first] != cls[v]:
+            return ("vertices coincide", first, v)
 
-def _realized_zero_partition(configuration: Configuration) -> MergedVertexPartition:
-    L = configuration.linkage
-    ds = DisjointSets(L.vertices)
-    for e in L.edges:
-        a, b = configuration.segment(e)
-        if a == b:
-            ds.union(e.tail, e.head)
-    classes = tuple(tuple(c) for c in ds.classes())
-    class_of = {v: i for i, c in enumerate(classes) for v in c}
-    return MergedVertexPartition(classes, class_of)
+    # (b) positive bars intersect only at shared merged endpoints
+    for x, (ea, a1, b1) in enumerate(segs):
+        for eb, a2, b2 in segs[x + 1 :]:
+            if properly_cross(a1, b1, a2, b2):
+                return ("bars cross", ea.id, eb.id)
+            if {a1, b1} == {a2, b2}:
+                return ("bars coincide", ea.id, eb.id)
+            if in_open_segment(a1, a2, b2) or in_open_segment(b1, a2, b2):
+                return ("endpoint inside bar", ea.id, eb.id)
+            if in_open_segment(a2, a1, b1) or in_open_segment(b2, a1, b1):
+                return ("endpoint inside bar", eb.id, ea.id)
+
+    # (c) no merged vertex inside the open interior of a non-incident bar
+    for idx, members in enumerate(part.classes):
+        p = C.placement[members[0]]
+        for e, a, b in segs:
+            if cls[e.tail] == idx or cls[e.head] == idx:
+                continue
+            if in_open_segment(p, a, b):
+                return ("vertex inside bar", p, e.id)
+    return None
 
 
 def is_nontouching(linkage: Linkage, configuration: Configuration) -> bool:
@@ -220,48 +268,7 @@ def is_nontouching(linkage: Linkage, configuration: Configuration) -> bool:
     zero), which on exact configurations coincides with rest-length
     merging and stays meaningful on slack configurations.
     """
-    if configuration.linkage is not linkage and configuration.linkage != linkage:
-        raise LinkageError("configuration belongs to a different linkage")
-    C = configuration
-    part = _realized_zero_partition(C)
-
-    # (a) distinct merged vertices occupy distinct points
-    seen: dict[Point, int] = {}
-    for idx, cls in enumerate(part.classes):
-        p = C.placement[cls[0]]
-        if p in seen:
-            return False
-        seen[p] = idx
-
-    positive = [
-        (i, e, C.segment(e))
-        for i, e in enumerate(linkage.edges)
-        if C.segment(e)[0] != C.segment(e)[1]
-    ]
-
-    # (b) positive edges intersect only at shared merged endpoints
-    for a in range(len(positive)):
-        _, ea, (p1, q1) = positive[a]
-        for b in range(a + 1, len(positive)):
-            _, eb, (p2, q2) = positive[b]
-            if properly_cross(p1, q1, p2, q2):
-                return False
-            if {p1, q1} == {p2, q2}:
-                return False
-            if in_open_segment(p1, p2, q2) or in_open_segment(q1, p2, q2):
-                return False
-            if in_open_segment(p2, p1, q1) or in_open_segment(q2, p1, q1):
-                return False
-
-    # (c) no merged vertex inside the open interior of a non-incident edge
-    for idx, cls in enumerate(part.classes):
-        p = C.placement[cls[0]]
-        for _, e, (a, b) in positive:
-            if part.class_of[e.tail] == idx or part.class_of[e.head] == idx:
-                continue
-            if in_open_segment(p, a, b):
-                return False
-    return True
+    return touch_witness(linkage, configuration) is None
 
 
 @dataclass(frozen=True)

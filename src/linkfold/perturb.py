@@ -18,7 +18,7 @@ from fractions import Fraction
 from .annotations import AnnotationMatrix, ord_value, overlap_length
 from .corridors import CorridorOrder, corridor_order, corridors, delta_bound
 from .errors import PerturbationError, ValidationFailure
-from .geometry import Point, in_open_segment, properly_cross
+from .geometry import Point
 from .linkage import (
     Configuration,
     ExtensionMap,
@@ -26,8 +26,9 @@ from .linkage import (
     configuration_membership,
     extend_split,
     merged_vertex_partition,
+    touch_witness,
 )
-from .linkage import is_nontouching as _is_nontouching
+from .rationals import SqrtRational
 from .validator import validate
 
 GOLDEN_ANGLE = 2.399963229728653
@@ -176,99 +177,44 @@ def _rationalized_snapshot(
     return placement, max_d2
 
 
-def _touch_witness(linkage: Linkage, configuration: Configuration) -> tuple | None:
-    """Mirror of is_nontouching that names an offending pair."""
-    C = configuration
-    pointmap: dict[Point, str] = {}
-    segs = []
-    for i, e in enumerate(linkage.edges):
-        a, b = C.segment(e)
-        if a != b:
-            segs.append((e, a, b))
-    zero_adj: dict[str, set[str]] = {v: set() for v in linkage.vertices}
-    for e in linkage.edges:
-        a, b = C.segment(e)
-        if a == b:
-            zero_adj[e.tail].add(e.head)
-            zero_adj[e.head].add(e.tail)
-    # realized-zero classes via DFS
-    cls: dict[str, int] = {}
-    nclass = 0
-    for v in linkage.vertices:
-        if v in cls:
-            continue
-        stack = [v]
-        cls[v] = nclass
-        while stack:
-            u = stack.pop()
-            for w in zero_adj[u]:
-                if w not in cls:
-                    cls[w] = nclass
-                    stack.append(w)
-        nclass += 1
-    rep_point: dict[int, Point] = {}
-    for v in linkage.vertices:
-        rep_point.setdefault(cls[v], C.placement[v])
-    for v in linkage.vertices:
-        p = C.placement[v]
-        if p in pointmap:
-            if cls[pointmap[p]] != cls[v]:
-                return ("vertices coincide", pointmap[p], v)
-        else:
-            pointmap[p] = v
-    for x in range(len(segs)):
-        ea, a1, b1 = segs[x]
-        for y in range(x + 1, len(segs)):
-            eb, a2, b2 = segs[y]
-            if properly_cross(a1, b1, a2, b2):
-                return ("bars cross", ea.id, eb.id)
-            if {a1, b1} == {a2, b2}:
-                return ("bars coincide", ea.id, eb.id)
-            for pt, owner in ((a1, ea), (b1, ea)):
-                if in_open_segment(pt, a2, b2):
-                    return ("endpoint inside bar", owner.id, eb.id)
-            for pt, owner in ((a2, eb), (b2, eb)):
-                if in_open_segment(pt, a1, b1):
-                    return ("endpoint inside bar", owner.id, ea.id)
-    for cid, p in rep_point.items():
-        for e, a, b in segs:
-            if cls[e.tail] == cid or cls[e.head] == cid:
+def _overlapping_pairs(
+    linkage: Linkage, configuration: Configuration
+) -> list[tuple[int, int, SqrtRational]]:
+    """Ordered pairs (i, j, overlap) of distinct bars that overlap."""
+    segs = [configuration.segment(e) for e in linkage.edges]
+    pairs = []
+    for i, si in enumerate(segs):
+        for j, sj in enumerate(segs):
+            if i == j:
                 continue
-            if in_open_segment(p, a, b):
-                return ("vertex inside bar", p, e.id)
-    return None
+            ov = overlap_length(si, sj)
+            if ov.sign() > 0:
+                pairs.append((i, j, ov))
+    return pairs
 
 
 def _sign_check(
     linkage: Linkage,
-    configuration: Configuration,
     annotation: AnnotationMatrix,
+    overlaps: list[tuple[int, int, SqrtRational]],
     extended: Linkage,
     snapshot: dict[str, Point],
     da: Fraction,
 ) -> tuple | None:
     """Annotation signs must survive on pairs with robust overlaps."""
-    n = len(linkage.edges)
-    orig_segs = [configuration.segment(e) for e in linkage.edges]
     new_segs = [
-        (snapshot[extended.edges[i].tail], snapshot[extended.edges[i].head])
-        for i in range(n)
+        (snapshot[e.tail], snapshot[e.head])
+        for e in extended.edges[: len(linkage.edges)]
     ]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            ov = overlap_length(orig_segs[i], orig_segs[j])
-            if ov.sign() <= 0:
-                continue
-            want = annotation.value(i, j).sign()
-            got = ord_value(new_segs[i], new_segs[j]).sign()
-            if got == want:
-                continue
-            # an overlap thinner than the drift budget may close up entirely
-            if got == 0 and ov < 4 * da:
-                continue
-            return ("sign flipped", linkage.edges[i].id, linkage.edges[j].id)
+    for i, j, ov in overlaps:
+        want = annotation.value(i, j).sign()
+        got = ord_value(new_segs[i], new_segs[j]).sign()
+        if got == want:
+            continue
+        # an overlap thinner than the drift budget may close up entirely
+        if got == 0 and ov < 4 * da:
+            continue
+        return ("sign flipped", linkage.edges[i].id, linkage.edges[j].id)
     return None
 
 
@@ -315,6 +261,7 @@ def perturb(
     extended, _, emap = extend_split(linkage, configuration)
     nedges = max(len(linkage.edges), 1)
     offending: tuple | None = None
+    overlaps = None  # scanned at most once, by the first attempt to reach it
 
     for attempt in range(max_halvings + 1):
         da = delta / (2**attempt)
@@ -331,14 +278,13 @@ def perturb(
             offending = ("membership violated",)
             continue
         cdelta = Configuration(extended, snapshot, eps)
-        witness = _touch_witness(extended, cdelta)
+        witness = touch_witness(extended, cdelta)
         if witness is not None:
             offending = witness
             continue
-        if not _is_nontouching(extended, cdelta):
-            offending = ("touching configuration",)
-            continue
-        sig = _sign_check(linkage, configuration, annotation, extended, snapshot, da)
+        if overlaps is None:
+            overlaps = _overlapping_pairs(linkage, configuration)
+        sig = _sign_check(linkage, annotation, overlaps, extended, snapshot, da)
         if sig is not None:
             offending = sig
             continue
@@ -388,27 +334,20 @@ def convergence_probe(
         if not b < a:
             raise PerturbationError("delta sequence must be strictly decreasing")
     bound = delta_bound(linkage, configuration)
-    orig_segs = [configuration.segment(e) for e in linkage.edges]
-    n = len(linkage.edges)
+    overlaps = _overlapping_pairs(linkage, configuration)
     entries = []
     for d in ds:
         res = perturb(linkage, configuration, annotation, d)
         snap = res.configuration.placement
         pair_values: dict[tuple[str, str], object] = {}
         max_dev = 0.0
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                ov = overlap_length(orig_segs[i], orig_segs[j])
-                if ov.sign() <= 0:
-                    continue
-                ei, ej = res.linkage.edges[i], res.linkage.edges[j]
-                val = ord_value(
-                    (snap[ei.tail], snap[ei.head]), (snap[ej.tail], snap[ej.head])
-                )
-                pair_values[(ei.id, ej.id)] = val
-                max_dev = max(max_dev, abs(abs(float(val)) - float(ov)))
+        for i, j, ov in overlaps:
+            ei, ej = res.linkage.edges[i], res.linkage.edges[j]
+            val = ord_value(
+                (snap[ei.tail], snap[ei.head]), (snap[ej.tail], snap[ej.head])
+            )
+            pair_values[(ei.id, ej.id)] = val
+            max_dev = max(max_dev, abs(abs(float(val)) - float(ov)))
         entries.append(
             ProbeEntry(
                 delta=d,

@@ -454,6 +454,7 @@ def eval_system(system: ConstraintSystem, assignment) -> EvalReport:
 
 
 _PLAIN = re.compile(r"[A-Za-z0-9_.-]+\Z")
+_FAMILY_PREFIX = "; family: "
 
 
 def _symbol(name: str) -> str:
@@ -541,7 +542,7 @@ def serialize(system: ConstraintSystem) -> str:
                 f"family {ta.family!r} has a line break; such ids cannot "
                 "appear in SMT output"
             )
-        lines.append(f"; family: {ta.family}")
+        lines.append(_FAMILY_PREFIX + ta.family)
         lines.append(f"(assert {sexp(ta.node)})")
     lines.append("(check-sat)")
     return "\n".join(lines) + "\n"
@@ -556,10 +557,8 @@ def _tokenize(text: str) -> list:
         if ch == ";":
             j = text.find("\n", i)
             j = n if j < 0 else j
-            comment = text[i:j]
-            m = re.match(r";\s*family:\s*(.+?)\s*$", comment)
-            if m:
-                families[len(toks)] = m.group(1)
+            if text.startswith(_FAMILY_PREFIX, i):
+                families[len(toks)] = text[i + len(_FAMILY_PREFIX) : j]
             i = j
         elif ch in "()":
             toks.append(ch)

@@ -21,10 +21,18 @@ from linkfold.geometry import (
     canonical_line,
     canonical_line_direction,
     dot,
+    in_open_segment,
+    properly_cross,
     sign,
     vsub,
 )
-from linkfold.linkage import Configuration, Edge, Linkage, is_nontouching
+from linkfold.linkage import (
+    Configuration,
+    DisjointSets,
+    Edge,
+    Linkage,
+    is_nontouching,
+)
 from linkfold.rationals import SqrtRational
 from linkfold.semialgebra import (
     And,
@@ -203,6 +211,32 @@ def cyclic_gadget():
     return L, C, AnnotationMatrix.from_rows(rows)
 
 
+def hinged_strip(xs):
+    """Flat strip on the x-axis through stations xs, bar k at layer k.
+
+    Every fold vertex is split into two co-located vertices joined by a
+    zero-length bar, as the benchmark's hinged fold strips are.
+    """
+    specs, coords, heights = [], {"v0": (xs[0], 0)}, {}
+    prev, count = "v0", 1
+    n = len(xs) - 1
+    for k in range(n):
+        head = f"v{count}"
+        count += 1
+        coords[head] = (xs[k + 1], 0)
+        specs.append((f"e{k + 1}", prev, head, abs(xs[k + 1] - xs[k])))
+        heights[f"e{k + 1}"] = k
+        prev = head
+        if k < n - 1:
+            prev = f"v{count}"
+            count += 1
+            coords[prev] = coords[head]
+            specs.append((f"h{k + 1}", head, prev, 0))
+    L = mk_linkage(specs)
+    C = conf(L, coords)
+    return L, C, annotation_from_layers(L, C, heights)
+
+
 def perturbation_corpus():
     """Named self-touching (or nearly) instances used by the delta sweeps."""
     return [
@@ -334,6 +368,56 @@ def big_eps(linkage, placement):
     for x, y in placement.values():
         s += abs(F(x)) + abs(F(y))
     return 2 * s + 1
+
+
+def reference_is_nontouching(linkage, configuration):
+    """Brute-force nontouching test over all pairs, kept as an oracle.
+
+    Vertices merge along bars of realized length zero; the merged
+    vertices must occupy distinct points, positive bars may meet only
+    at shared merged endpoints, and no merged vertex may lie inside a
+    bar it is not an endpoint of.
+    """
+    C = configuration
+    ds = DisjointSets(linkage.vertices)
+    for e in linkage.edges:
+        a, b = C.segment(e)
+        if a == b:
+            ds.union(e.tail, e.head)
+    classes = ds.classes()
+    class_of = {v: i for i, c in enumerate(classes) for v in c}
+
+    seen = set()
+    for cls in classes:
+        p = C.placement[cls[0]]
+        if p in seen:
+            return False
+        seen.add(p)
+
+    positive = [
+        (e, C.segment(e)) for e in linkage.edges if C.segment(e)[0] != C.segment(e)[1]
+    ]
+    for a in range(len(positive)):
+        _, (p1, q1) = positive[a]
+        for b in range(a + 1, len(positive)):
+            _, (p2, q2) = positive[b]
+            if properly_cross(p1, q1, p2, q2):
+                return False
+            if {p1, q1} == {p2, q2}:
+                return False
+            if in_open_segment(p1, p2, q2) or in_open_segment(q1, p2, q2):
+                return False
+            if in_open_segment(p2, p1, q1) or in_open_segment(q2, p1, q1):
+                return False
+
+    for idx, cls in enumerate(classes):
+        p = C.placement[cls[0]]
+        for e, (a, b) in positive:
+            if class_of[e.tail] == idx or class_of[e.head] == idx:
+                continue
+            if in_open_segment(p, a, b):
+                return False
+    return True
 
 
 def nontouch_oracle(linkage, placement):

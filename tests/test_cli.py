@@ -337,6 +337,21 @@ def test_emit_sa(capsys, tmp_path):
     assert err.startswith("error: ") and "'1e1000000'" in err
 
 
+def test_emit_sa_check_needs_placement(capsys, tmp_path):
+    L = mk_linkage([("e1", "a", "b", 1)])
+    doc = write(tmp_path / "bare.json", write_document(linkage=L))
+    out_file = tmp_path / "out.smt2"
+    for extra in ((), ("--out", str(out_file))):
+        code, out, err = run(capsys, "emit-sa", doc, "--check", *extra)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "places no vertices" in err
+        assert "$.vertices" in err
+    assert not out_file.exists()
+    # without --check there is nothing to evaluate, so the system is written
+    code, out, _ = run(capsys, "emit-sa", doc)
+    assert code == 0 and "(check-sat)" in out
+
+
 def test_emit_sa_rejects_line_break_ids(capsys, tmp_path):
     # the id would otherwise end its "; family:" comment and inject SMT
     L = mk_linkage([("e\n(assert false)", "a", "b", 1)])

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from linkfold.geometry import (
+    angle_descending_key,
     canonical_line,
     canonical_line_direction,
     compare_angle_descending,
@@ -16,7 +17,6 @@ from linkfold.geometry import (
     point_on_line,
     primitive_direction,
     properly_cross,
-    sort_directions_descending,
 )
 
 F = Fraction
@@ -117,7 +117,7 @@ def test_angle_order_matches_atan2():
         for y in range(-3, 4):
             if (x, y) != (0, 0) and math.gcd(abs(x), abs(y)) == 1:
                 dirs.append((x, y))
-    ordered = sort_directions_descending(dirs)
+    ordered = sorted(dirs, key=angle_descending_key)
     thetas = [_theta(u) for u in ordered]
     assert thetas == sorted(thetas, reverse=True)
     for u in dirs:

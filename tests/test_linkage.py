@@ -6,12 +6,15 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    big_eps,
     conf,
     doubled_chain,
     zero_cluster_star,
     mk_linkage,
     random_linkage,
+    random_sa_instance,
     random_zero_linkage,
+    reference_is_nontouching,
     straight_chain,
 )
 from linkfold.errors import LinkageError
@@ -27,6 +30,7 @@ from linkfold.linkage import (
     merged_vertex_partition,
     reduce,
     require_conf0,
+    touch_witness,
 )
 
 F = Fraction
@@ -190,6 +194,66 @@ def test_nontouching_requires_positive_bar_interiors_free():
     assert is_nontouching(L, C)
     C2 = conf(L, {"a": (0, 0), "b": (4, 0), "c": (2, 0), "d": (2, 0)}, eps=F(1, 8))
     assert not is_nontouching(L, C2)
+
+
+def test_touch_witness_kinds():
+    # one configuration per witness kind, in the order the checks run
+    L = mk_linkage([("e1", "a", "b", 1), ("e2", "c", "d", 1)])
+    C = conf(L, {"a": (0, 0), "b": (1, 0), "c": (0, 0), "d": (0, 1)})
+    assert touch_witness(L, C) == ("vertices coincide", "a", "c")
+
+    L = mk_linkage([("e1", "a", "b", 4), ("e2", "c", "d", 4)])
+    C = conf(L, {"a": (0, 0), "b": (4, 0), "c": (2, -2), "d": (2, 2)})
+    assert touch_witness(L, C) == ("bars cross", "e1", "e2")
+
+    L = mk_linkage([("e1", "a", "b", 2), ("e2", "b", "a", 2)])
+    C = conf(L, {"a": (0, 0), "b": (2, 0)})
+    assert touch_witness(L, C) == ("bars coincide", "e1", "e2")
+
+    # the endpoint's own bar comes first, whichever bar is listed first
+    L = mk_linkage([("e1", "c", "d", 1), ("e2", "a", "b", 4)])
+    C = conf(L, {"a": (0, 0), "b": (4, 0), "c": (2, 0), "d": (2, 1)})
+    assert touch_witness(L, C) == ("endpoint inside bar", "e1", "e2")
+    L = mk_linkage([("e1", "a", "b", 4), ("e2", "c", "d", 1)])
+    C = conf(L, {"a": (0, 0), "b": (4, 0), "c": (2, 0), "d": (2, 1)})
+    assert touch_witness(L, C) == ("endpoint inside bar", "e2", "e1")
+
+    # a zero cluster, or a lone vertex, inside a foreign bar
+    L = mk_linkage([("e1", "a", "b", 4), ("z", "u", "w", 0)])
+    C = conf(L, {"a": (0, 0), "b": (4, 0), "u": (2, 0), "w": (2, 0)})
+    assert touch_witness(L, C) == ("vertex inside bar", (F(2), F(0)), "e1")
+    L = mk_linkage([("e1", "a", "b", 4)], vertices=("a", "b", "lone"))
+    C = conf(L, {"a": (0, 0), "b": (4, 0), "lone": (F(1, 3), 0)})
+    assert touch_witness(L, C) == ("vertex inside bar", (F(1, 3), F(0)), "e1")
+
+    L, C, _ = zero_cluster_star()
+    assert touch_witness(L, C) is None
+
+
+def test_touch_witness_rejects_foreign_configuration():
+    L, C = straight_chain(1, 1)
+    other = mk_linkage([("e1", "a", "b", 1)])
+    for check in (touch_witness, is_nontouching):
+        with pytest.raises(LinkageError):
+            check(other, C)
+
+
+def test_touch_witness_matches_reference_random():
+    rng = random.Random(4000)
+    seen = {True: 0, False: 0}
+    for k in range(2001):
+        if k % 3 == 0:
+            L, C = random_linkage(rng, 2, 6)
+        elif k % 3 == 1:
+            L, C = random_zero_linkage(rng)
+        else:
+            # jittered placements with slack: positive bars may collapse
+            L, P, _ = random_sa_instance(rng)
+            C = Configuration(L, P, big_eps(L, P))
+        want = reference_is_nontouching(L, C)
+        assert (touch_witness(L, C) is None) == want
+        seen[want] += 1
+    assert min(seen.values()) >= 300, seen
 
 
 def test_extend_reduce_round_trip():

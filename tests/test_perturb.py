@@ -9,16 +9,18 @@ from helpers import (
     annotation_from_layers,
     conf,
     doubled_chain,
+    hinged_strip,
     interleave_gadget,
     mk_linkage,
     perturbation_corpus,
+    reference_is_nontouching,
     straight_chain,
 )
 from linkfold.annotations import annotate, ord_value, overlap_length
 from linkfold.corridors import delta_bound
 from linkfold.errors import PerturbationError, ValidationFailure
 from linkfold.geometry import sqdist
-from linkfold.linkage import is_nontouching
+from linkfold.linkage import is_nontouching, touch_witness
 from linkfold.perturb import convergence_probe, perturb
 
 F = Fraction
@@ -74,6 +76,26 @@ def test_perturb_corpus_soundness():
                 assert ln2 <= (e.rest_length + res.slack) ** 2, name
                 if e.rest_length >= res.slack:
                     assert ln2 >= (e.rest_length - res.slack) ** 2, name
+
+
+def test_perturbed_corpus_matches_reference():
+    for name, L, C, A in perturbation_corpus():
+        bound = delta_bound(L, C)
+        for delta in SWEEP:
+            res = perturb(L, C, A, clamp(delta, bound))
+            assert touch_witness(res.linkage, res.configuration) is None, name
+            assert reference_is_nontouching(res.linkage, res.configuration), name
+
+
+def test_perturb_hinged_strip_standing_failure():
+    # a 5-bar hinged zigzag validates, but every radius leaves two bars
+    # crossing; delta is the benchmark's fold-job radius 1 / (4 edges)
+    L, C, A = hinged_strip([0, 3, 1, 4, 2, 5])
+    assert len(L.edges) == 9
+    with pytest.raises(PerturbationError) as info:
+        perturb(L, C, A, F(1, 36))
+    assert "no admissible perturbation" in str(info.value)
+    assert info.value.offending == ("bars cross", "e3", "x6")
 
 
 def test_perturb_sign_stability():

@@ -196,6 +196,11 @@ def test_parse_quoted_symbols():
     text = serialize(S)
     assert "|x_q r|" in text
     assert parse_constraints(text) == S
+    # families are read back verbatim, edge whitespace included
+    L = mk_linkage([("e1 ", "a", "b", 1), (" e2", "b", "c", 2)])
+    for S in (emit_conf(L, 0), emit_nconf(L, 0)):
+        assert {"length:e1 ", "length: e2"} <= {ta.family for ta in S.asserts}
+        assert parse_constraints(serialize(S)) == S
 
 
 def test_serialize_rejects_line_break_families():
