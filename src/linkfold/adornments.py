@@ -27,7 +27,7 @@ from .geometry import (
     sqdist,
     vsub,
 )
-from .linkage import Configuration, Edge, Linkage, configuration_membership
+from .linkage import Configuration, Edge, Linkage, certify_epsilon
 from .rationals import exact_sqrt
 
 
@@ -275,24 +275,17 @@ def adorned_chain_to_linkage(chain: AdornedChain) -> tuple[Linkage, Configuratio
         add(bp[0], bp[1])
 
     edges = []
-    exact = True
     for k, (u, w) in enumerate(bars):
         d2 = sqdist(u, w)
         root = exact_sqrt(d2)
         if root is None:
-            exact = False
             root = Fraction(math.sqrt(float(d2))).limit_denominator(10**12)
         edges.append(Edge(f"e{k}", vertex(u), vertex(w), root))
 
     linkage = Linkage(tuple(vid[p] for p in vid), tuple(edges))
     placement = {vertex(p): p for p in vid}
-    if exact:
-        eps = Fraction(0)
-    else:
-        eps = Fraction(1, 10**10)
-        while not configuration_membership(linkage, placement, eps):
-            eps *= 2
-            if eps > 1:
-                raise AdornmentError("could not certify a slack bound")
+    eps = certify_epsilon(linkage, placement, Fraction(1, 10**10))
+    if eps > 1:
+        raise AdornmentError("could not certify a slack bound")
     configuration = Configuration(linkage, placement, eps)
     return linkage, configuration

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import ChainError
 from .geometry import cross, orient, sign
-from .linkage import Configuration, Linkage, configuration_membership
+from .linkage import Configuration, Linkage, certify_epsilon
 
 _BISECT_STEPS = 200
 
@@ -106,17 +106,21 @@ def canonical_open(linkage: Linkage) -> CanonicalConfiguration:
     return CanonicalConfiguration(conf, "straight", shape)
 
 
-def _verified_epsilon(
-    linkage: Linkage, placement: dict, start: Fraction
-) -> Fraction:
-    if configuration_membership(linkage, placement, Fraction(0)):
-        return Fraction(0)
-    eps = start if start > 0 else Fraction(1, 10**12)
-    for _ in range(200):
-        if configuration_membership(linkage, placement, eps):
-            return eps
-        eps *= 2
-    raise ChainError("could not certify a slack bound for the placement")
+def _bisect_radius(too_small, lo: float, hi: float) -> float:
+    """Double hi until too_small(hi) fails, then bisect [lo, hi] to a radius."""
+    tries = 0
+    while too_small(hi):
+        hi *= 2.0
+        tries += 1
+        if tries > 400:
+            raise ChainError("closure equation does not bracket")
+    for _ in range(_BISECT_STEPS):
+        mid = 0.5 * (lo + hi)
+        if too_small(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def canonical_closed(
@@ -167,19 +171,11 @@ def canonical_closed(
         return sum(2.0 * math.asin(min(1.0, l / (2.0 * r))) for l in fl)
 
     r0 = flmax / 2.0
-    total = sum(fl)
     if angle_sum(r0) >= 2.0 * math.pi:
         # center inside: every central angle positive
-        lo, hi = r0, max(r0 * 2.0, total)
-        while angle_sum(hi) >= 2.0 * math.pi:
-            hi *= 2.0
-        for _ in range(_BISECT_STEPS):
-            mid = 0.5 * (lo + hi)
-            if angle_sum(mid) >= 2.0 * math.pi:
-                lo = mid
-            else:
-                hi = mid
-        radius = 0.5 * (lo + hi)
+        radius = _bisect_radius(
+            lambda r: angle_sum(r) >= 2.0 * math.pi, r0, max(r0 * 2.0, sum(fl))
+        )
         signs = [1.0] * len(fl)
     else:
         # center outside the longest chord: its angle counts negatively
@@ -190,20 +186,7 @@ def canonical_closed(
                     s -= math.asin(min(1.0, l / (2.0 * r)))
             return s
 
-        lo, hi = r0, r0 * 2.0
-        tries = 0
-        while gap(hi) > 0.0:
-            hi *= 2.0
-            tries += 1
-            if tries > 400:
-                raise ChainError("closure equation does not bracket")
-        for _ in range(_BISECT_STEPS):
-            mid = 0.5 * (lo + hi)
-            if gap(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        radius = 0.5 * (lo + hi)
+        radius = _bisect_radius(lambda r: gap(r) > 0.0, r0, r0 * 2.0)
         signs = [1.0 if k != imax else -1.0 for k in range(len(fl))]
 
     phis = [0.0]
@@ -242,7 +225,7 @@ def canonical_closed(
     want_ccw = direction == "ccw"
     if (area2 > 0) != want_ccw:
         placement = {vid: (x, -y) for vid, (x, y) in placement.items()}
-    eps = _verified_epsilon(linkage, placement, Fraction(1, 10**10))
+    eps = certify_epsilon(linkage, placement, Fraction(1, 10**10))
     conf = Configuration(linkage, placement, eps)
     return CanonicalConfiguration(conf, "concyclic", shape, radius, direction)
 
@@ -307,26 +290,16 @@ def convex_interpolate(
         ax, ay = conf_a.placement[v]
         bx, by = conf_b.placement[v]
         placement[v] = ((1 - t) * ax + t * bx, (1 - t) * ay + t * by)
-    start = max(conf_a.epsilon, conf_b.epsilon)
-    if configuration_membership(linkage, placement, start):
-        eps = start
-    else:
-        eps = _verified_epsilon(linkage, placement, start)
+    floor = max(conf_a.epsilon, conf_b.epsilon) or Fraction(1, 10**12)
+    eps = certify_epsilon(linkage, placement, floor)
     conf = Configuration(linkage, placement, eps)
 
-    walk = sa.vertices
-    pts = [placement[v] for v in walk]
-    signs = set()
-    if sa.kind == "closed":
-        m = len(pts)
-        triples = [(pts[i], pts[(i + 1) % m], pts[(i + 2) % m]) for i in range(m)]
-    else:
-        triples = [
-            (pts[i], pts[i + 1], pts[i + 2]) for i in range(len(pts) - 2)
-        ]
-    for a, b, c in triples:
-        s = sign(orient(a, b, c))
-        if s != 0:
-            signs.add(s)
-    convex = len(signs) <= 1
+    pts = [placement[v] for v in sa.vertices]
+    m = len(pts)
+    turns = m if sa.kind == "closed" else m - 2  # open walks do not wrap
+    signs = {
+        sign(orient(pts[i], pts[(i + 1) % m], pts[(i + 2) % m]))
+        for i in range(turns)
+    }
+    convex = len(signs - {0}) <= 1
     return InterpolationResult(conf, convex, t)

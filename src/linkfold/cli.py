@@ -446,20 +446,14 @@ def main(argv=None) -> int:
         return 64
     try:
         return args.func(args)
-    except ValidationFailure as exc:
-        _say(f"check failed: {exc}")
-        return 2
-    except CorridorError as exc:
+    except (ValidationFailure, CorridorError) as exc:
         _say(f"check failed: {exc}")
         return 2
     except OSError as exc:
         _say(f"io error: {exc}")
         return 1
-    except LinkfoldError as exc:
-        _say(f"error: {exc}")
-        return 1
-    except (ValueError, ZeroDivisionError) as exc:
-        # bad rationals in flag values land here
+    except (LinkfoldError, ValueError, ArithmeticError) as exc:
+        # also bad flag rationals, and floats overflowing on huge values
         _say(f"error: {exc}")
         return 1
 

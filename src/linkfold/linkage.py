@@ -140,6 +140,46 @@ def configuration_membership(
     return True
 
 
+def certify_epsilon(
+    linkage: Linkage, placement: Mapping[str, Point], floor
+) -> Fraction:
+    """Least slack in {0} and {floor * 2**k : k >= 0} that the placement meets.
+
+    Membership is monotone in epsilon (a bar fits when epsilon >= |d - l|),
+    so exact membership tests walk down, then up, from a rung guessed
+    from the widest gap.
+    """
+    floor = Fraction(floor)
+    if floor <= 0:
+        raise LinkageError("slack floor must be positive")
+    if configuration_membership(linkage, placement, 0):
+        return Fraction(0)
+    # d^2 = p / den, l^2 = q / den over unreduced ints: the gap |d - l| is
+    # within 2x of |p - q| / sqrt(max(p, q) * den), logged by bit lengths
+    gaps = []
+    for e in linkage.edges:
+        (ax, ay), (bx, by) = placement[e.tail], placement[e.head]
+        xd, yd = ax.denominator * bx.denominator, ay.denominator * by.denominator
+        ln, ld = e.rest_length.numerator, e.rest_length.denominator
+        xn = (ax.numerator * bx.denominator - bx.numerator * ax.denominator) * yd
+        yn = (ay.numerator * by.denominator - by.numerator * ay.denominator) * xd
+        p, q = (xn * xn + yn * yn) * ld * ld, (ln * xd * yd) ** 2
+        if p != q:
+            root = max(p, q).bit_length() + ((xd * yd * ld) ** 2).bit_length()
+            gaps.append(abs(p - q).bit_length() - root // 2)
+
+    def fits(k: int) -> bool:
+        return configuration_membership(linkage, placement, floor * 2**k)
+
+    lg_floor = floor.numerator.bit_length() - floor.denominator.bit_length()
+    k = max(0, max(gaps) - lg_floor)
+    while k > 0 and fits(k - 1):
+        k -= 1
+    while not fits(k):
+        k += 1
+    return floor * 2**k
+
+
 @dataclass(frozen=True)
 class Configuration:
     linkage: Linkage

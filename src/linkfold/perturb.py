@@ -17,13 +17,12 @@ from fractions import Fraction
 
 from .annotations import AnnotationMatrix, ord_value, overlap_length
 from .corridors import CorridorOrder, corridor_order, corridors, delta_bound
-from .errors import PerturbationError, ValidationFailure
+from .errors import LinkageError, PerturbationError, ValidationFailure
 from .geometry import Point
 from .linkage import (
     Configuration,
     ExtensionMap,
     Linkage,
-    configuration_membership,
     extend_split,
     merged_vertex_partition,
     touch_witness,
@@ -274,10 +273,11 @@ def perturb(
             continue
         snapshot, max_d2 = _rationalized_snapshot(linkage, configuration, disp, da)
         eps = 2 * da
-        if not configuration_membership(extended, snapshot, eps):
+        try:
+            cdelta = Configuration(extended, snapshot, eps)
+        except LinkageError:
             offending = ("membership violated",)
             continue
-        cdelta = Configuration(extended, snapshot, eps)
         witness = touch_witness(extended, cdelta)
         if witness is not None:
             offending = witness

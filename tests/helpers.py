@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from linkfold.adornments import AdornedChain, Adornment
 from linkfold.annotations import (
     AnnotationMatrix,
     annotate,
@@ -26,11 +27,13 @@ from linkfold.geometry import (
     sign,
     vsub,
 )
+from linkfold.errors import ChainError
 from linkfold.linkage import (
     Configuration,
     DisjointSets,
     Edge,
     Linkage,
+    configuration_membership,
     is_nontouching,
 )
 from linkfold.rationals import SqrtRational
@@ -368,6 +371,33 @@ def big_eps(linkage, placement):
     for x, y in placement.values():
         s += abs(F(x)) + abs(F(y))
     return 2 * s + 1
+
+
+def reference_epsilon(linkage, placement, floor):
+    """The doubling slack search that certify_epsilon replaced, as an oracle.
+
+    Least of 0 and floor * 2**k for k < 200 that the placement meets; a
+    wider gap raises ChainError, as the search did.
+    """
+    if configuration_membership(linkage, placement, F(0)):
+        return F(0)
+    eps = F(floor)
+    for _ in range(200):
+        if configuration_membership(linkage, placement, eps):
+            return eps
+        eps *= 2
+    raise ChainError("could not certify a slack bound for the placement")
+
+
+def random_adorned_chain(rng: random.Random, m: int):
+    """m triangles on consecutive bases along the x axis, apexes above."""
+    triangles, x = [], F(0)
+    for _ in range(m):
+        w = F(rng.randint(1, 8), rng.choice([1, 2, 3]))
+        apex = (x + w * F(rng.randint(1, 9), 10), F(rng.randint(1, 12), 4))
+        triangles.append(Adornment(((x, F(0)), (x + w, F(0)), apex), (0, 1)))
+        x += w
+    return AdornedChain(tuple(triangles))
 
 
 def reference_is_nontouching(linkage, configuration):

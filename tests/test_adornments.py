@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from helpers import random_adorned_chain, reference_epsilon
 from linkfold.adornments import (
     Adornment,
     AdornedChain,
@@ -232,3 +233,18 @@ def test_adorned_chain_errors():
     gap = Adornment(((3, 0), (5, 0), (4, 1)), (0, 1))
     with pytest.raises(AdornmentError):
         adorned_chain_to_linkage(AdornedChain((a, gap)))
+    # float square roots of huge squared lengths miss by more than 1
+    for s in (3 * 10**16, 10**20):
+        tri = Adornment(((0, 0), (s, 0), (0, s)), (0, 1))
+        with pytest.raises(AdornmentError, match="could not certify"):
+            adorned_chain_to_linkage(AdornedChain((tri,)))
+
+
+def test_adorned_chain_slack_matches_reference():
+    for s, eps in ((10**14, F(65536, 9765625)), (10**16, F(8388608, 9765625))):
+        tri = Adornment(((0, 0), (s, 0), (0, s)), (0, 1))
+        assert adorned_chain_to_linkage(AdornedChain((tri,)))[1].epsilon == eps
+    rng = random.Random(77)
+    for _ in range(20):
+        L, C = adorned_chain_to_linkage(random_adorned_chain(rng, 3))
+        assert C.epsilon == reference_epsilon(L, C.placement, F(1, 10**10))

@@ -22,7 +22,7 @@ from linkfold.chains import (
     turning_direction,
 )
 from linkfold.errors import ChainError
-from linkfold.linkage import check_epsilon_related
+from linkfold.linkage import check_epsilon_related, configuration_membership
 
 
 def test_classify_chain_kinds():
@@ -255,3 +255,21 @@ def test_interpolate_convex_grid_random():
         for t in grid:
             r = convex_interpolate(ca.configuration, cb.configuration, t)
             assert r.convex, (lens1, lens2, t)
+
+
+def test_interpolate_certifies_slack_afresh():
+    # a translated copy blends exactly, so the inputs' slack is not kept
+    L, _ = straight_chain(1, 2)
+    ca = conf(L, {"v0": (0, 0), "v1": (1, 0), "v2": (3, 0)}, eps=F(1, 10))
+    cb = conf(L, {"v0": (5, 1), "v1": (6, 1), "v2": (8, 1)}, eps=F(1, 10))
+    for t in (0, F(1, 2), 1):
+        assert convex_interpolate(ca, cb, t).configuration.epsilon == 0
+
+    # a gap beyond 10**-12 * 2**199 is certified, not refused
+    big = 10**50
+    L = mk_linkage([("e", "a", "b", big)])
+    ca = conf(L, {"a": (0, 0), "b": (big, 0)})
+    cb = conf(L, {"a": (0, 0), "b": (0, big)})
+    blend = convex_interpolate(ca, cb, F(1, 2)).configuration
+    assert blend.epsilon > F(1, 10**12) * 2**199
+    assert not configuration_membership(L, blend.placement, blend.epsilon / 2)

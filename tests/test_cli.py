@@ -265,6 +265,28 @@ def test_canonical(capsys, tmp_path):
     assert "error" in err
 
 
+def test_values_beyond_float_range(capsys, tmp_path):
+    # exact values are fine, but floats steer placements and drawings
+    big = 10**400
+    tri = write(
+        tmp_path / "tri.json",
+        write_document(linkage=closed_chain_linkage(big, big, big)),
+    )
+    L, C = straight_chain(big, big)
+    strip = write(
+        tmp_path / "strip.json", write_document(linkage=L, configuration=C)
+    )
+    for argv in (
+        ("canonical", tri),
+        ("perturb", strip, "--delta", "1/100"),
+        ("render", strip),
+        ("render", strip, "--display-delta", "1/100"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert err.startswith("error: ") and "too large" in err, argv
+
+
 def square_doc(tmp_path, side, name):
     canon = canonical_closed(closed_chain_linkage(side, side, side, side), "ccw")
     text = write_document(

@@ -1,5 +1,6 @@
 """Linkage model: membership bands, merging, nontouching, extend/reduce."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,22 +8,31 @@ import pytest
 
 from helpers import (
     big_eps,
+    closed_chain_linkage,
     conf,
     doubled_chain,
     zero_cluster_star,
     mk_linkage,
+    perturbed_closed_pair,
+    random_adorned_chain,
+    random_closed_lengths,
     random_linkage,
     random_sa_instance,
     random_zero_linkage,
+    reference_epsilon,
     reference_is_nontouching,
     straight_chain,
 )
-from linkfold.errors import LinkageError
+import linkfold.linkage
+from linkfold.adornments import adorned_chain_to_linkage
+from linkfold.chains import canonical_closed, convex_interpolate
+from linkfold.errors import ChainError, LinkageError
 from linkfold.linkage import (
     Configuration,
     Edge,
     ExtensionMap,
     Linkage,
+    certify_epsilon,
     check_epsilon_related,
     configuration_membership,
     extend_split,
@@ -94,6 +104,119 @@ def test_configuration_constructor():
     assert not slack.is_exact()
     with pytest.raises(LinkageError):
         require_conf0(slack)
+
+
+FLOORS = [F(1, 10**12), F(1, 10**10), F(1, 1000), F(3, 7)]
+
+
+def _certifier_inputs(rng):
+    """(linkage, placement) pairs from every caller's kind of placement."""
+    for _ in range(40):
+        c = canonical_closed(closed_chain_linkage(*random_closed_lengths(rng)))
+        yield c.configuration.linkage, c.configuration.placement
+    for _ in range(30):
+        lens1, lens2 = perturbed_closed_pair(rng)
+        ca = canonical_closed(closed_chain_linkage(*lens1))
+        cb = canonical_closed(closed_chain_linkage(*lens2))
+        for k in range(11):
+            blend = convex_interpolate(
+                ca.configuration, cb.configuration, F(k, 10)
+            ).configuration
+            yield blend.linkage, blend.placement
+    for _ in range(40):
+        L, C = adorned_chain_to_linkage(random_adorned_chain(rng, rng.randint(1, 4)))
+        yield L, C.placement
+    for _ in range(150):
+        L, P, _ = random_sa_instance(rng)
+        yield L, P
+
+
+def test_certify_epsilon_matches_reference_random():
+    rng = random.Random(6021)
+    checked = positive = 0
+    for L, P in _certifier_inputs(rng):
+        for floor in FLOORS:
+            eps = certify_epsilon(L, P, floor)
+            assert eps == reference_epsilon(L, P, floor), (L, P, floor)
+            checked += 1
+            positive += eps > 0
+    assert checked >= 2000
+    assert positive >= checked // 2
+
+
+def _is_least_rung(L, P, floor, eps):
+    below = eps / 2 if eps > floor else F(0)
+    return configuration_membership(L, P, eps) and (
+        eps == 0 or not configuration_membership(L, P, below)
+    )
+
+
+def test_certify_epsilon_pinned_cases():
+    # an exact placement needs no slack
+    L = mk_linkage([("a", "p", "q", 3), ("b", "q", "r", 4), ("c", "r", "p", 5)])
+    P = {"p": (F(0), F(0)), "q": (F(3), F(0)), "r": (F(3), F(4))}
+    assert certify_epsilon(L, P, F(1, 10**10)) == 0
+    # a gap beyond floor * 2**199 is certified; the old search gave up
+    bar = mk_linkage([("e", "a", "b", 1)])
+    far = {"a": (F(0), F(0)), "b": (F(2) ** 240, F(0))}
+    with pytest.raises(ChainError):
+        reference_epsilon(bar, far, F(1, 10**12))
+    eps = certify_epsilon(bar, far, F(1, 10**12))
+    assert eps == F(1, 10**12) * 2**280
+    assert _is_least_rung(bar, far, F(1, 10**12), eps)
+    # coordinates near 10**400 take no float conversion
+    big = F(10) ** 400
+    huge = {"a": (big, big), "b": (big + 1, big + 1)}
+    for rest in (F(1), F(7, 5), big):
+        L = mk_linkage([("e", "a", "b", rest)])
+        for floor in FLOORS:
+            assert _is_least_rung(L, huge, floor, certify_epsilon(L, huge, floor))
+    with pytest.raises(LinkageError):
+        certify_epsilon(bar, far, 0)
+    with pytest.raises(LinkageError):
+        certify_epsilon(bar, {"a": (F(0), F(0))}, F(1))
+
+
+# The guessed rung is at most three above or two below the answer: each
+# bit length reads log2 to within one, and sqrt(d^2) + l is within a
+# factor 2 of sqrt(max(d^2, l^2)). With the test at 0 and the walk's
+# last failing and passing tests, that bounds one certify call by six.
+MAX_MEMBERSHIP_CALLS = 6
+
+
+def _gap_cases():
+    """One bar whose gap runs from 2**-30 to about 2**61 times the floor."""
+    origin = (F(0), F(0))
+    rests = (F(1, 1000), F(1), F(7, 3), F(10**6))
+    scales = (F(1), F(3, 2), F(7, 4))
+    for floor, j, rest, scale in itertools.product(
+        FLOORS, range(-30, 61), rests, scales
+    ):
+        gap = floor * F(2) ** j * scale
+        L = mk_linkage([("e", "a", "b", rest)])
+        for d in (rest + gap, rest - gap):
+            if d >= 0:
+                q = d * F(70711, 100000)  # irrational length near d
+                yield floor, L, {"a": origin, "b": (d, F(0))}
+                yield floor, L, {"a": origin, "b": (q, q)}
+
+
+def test_certify_epsilon_membership_calls_bounded(monkeypatch):
+    calls = []
+
+    def counted(*args):  # this module's own binding stays uncounted
+        calls.append(args)
+        return configuration_membership(*args)
+
+    monkeypatch.setattr(linkfold.linkage, "configuration_membership", counted)
+    worst = 0
+    for floor, L, P in _gap_cases():
+        calls.clear()
+        eps = certify_epsilon(L, P, floor)
+        assert len(calls) <= MAX_MEMBERSHIP_CALLS, (floor, P)
+        worst = max(worst, len(calls))
+        assert _is_least_rung(L, P, floor, eps)
+    assert worst >= 4  # the guess is not always right, so the walk runs
 
 
 def test_epsilon_related():

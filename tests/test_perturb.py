@@ -203,21 +203,40 @@ def test_convergence_probe_doubled_chain():
     assert devs[-1] <= devs[0] + 1e-12
 
 
+def _doubled_chain_with_parallel_bar():
+    """The doubled chain plus a unit bar on the line y = 1, overlapping none."""
+    L = mk_linkage(
+        [("e1", "v0", "v1", 1), ("e2", "v1", "v2", 1), ("e3", "v3", "v4", 1)]
+    )
+    C = conf(L, {"v0": (0, 0), "v1": (1, 0), "v2": (0, 0),
+                 "v3": (0, 1), "v4": (1, 1)})
+    return L, C, annotation_from_layers(L, C, {"e1": 0, "e2": 1, "e3": 0})
+
+
 def test_convergence_probe_certified_window():
     # exact certificate: overlap magnitudes land within 4 delta of the target
-    L, C, A = doubled_chain()
-    bound = delta_bound(L, C)
-    c = min(F(1), 2 * bound) / 2
-    deltas = [c * F(4) ** -k for k in range(1, 7)]
-    rep = convergence_probe(L, C, A, deltas)
-    for entry in rep.entries:
-        du = entry.delta_used
-        for (ei, ej), val in entry.pair_values.items():
-            i, j = L.edge_index(ei), L.edge_index(ej)
-            ov = overlap_length(C.segment(L.edges[i]), C.segment(L.edges[j]))
-            target = ov.as_fraction()
-            assert abs(val) <= target + 4 * du
-            assert abs(val) >= target - 4 * du
+    for L, C, A in (doubled_chain(), _doubled_chain_with_parallel_bar()):
+        bound = delta_bound(L, C)
+        c = min(F(1), 2 * bound) / 2
+        deltas = [c * F(4) ** -k for k in range(1, 7)]
+        rep = convergence_probe(L, C, A, deltas)
+        # the probe tracks exactly the ordered pairs that overlap
+        overlapping = {
+            (e.id, f.id)
+            for e in L.edges
+            for f in L.edges
+            if e != f and overlap_length(C.segment(e), C.segment(f)).sign() > 0
+        }
+        assert overlapping == {("e1", "e2"), ("e2", "e1")}
+        for entry in rep.entries:
+            assert set(entry.pair_values) == overlapping
+            du = entry.delta_used
+            for (ei, ej), val in entry.pair_values.items():
+                i, j = L.edge_index(ei), L.edge_index(ej)
+                ov = overlap_length(C.segment(L.edges[i]), C.segment(L.edges[j]))
+                target = ov.as_fraction()
+                assert abs(val) <= target + 4 * du
+                assert abs(val) >= target - 4 * du
 
 
 def test_convergence_probe_argument_checks():
