@@ -9,15 +9,24 @@ length, carried as SqrtRational.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AnnotationError
-from .geometry import Point, cross, dot, properly_cross, sqnorm, vsub
+from .geometry import (
+    Point,
+    canonical_line,
+    canonical_line_direction,
+    cross,
+    dot,
+    properly_cross,
+    sqnorm,
+    vsub,
+)
 from .linkage import Configuration, Linkage, require_conf0
 from .rationals import SqrtRational
 
 Segment = tuple[Point, Point]
+Line = tuple[int, int, int]  # canonical a x + b y = c
 
 
 def _clamp01(x: Fraction) -> Fraction:
@@ -98,28 +107,77 @@ def strict_crossing(e1: Segment, e2: Segment) -> bool:
     return properly_cross(e1[0], e1[1], e2[0], e2[1])
 
 
-@dataclass(frozen=True)
+def bars_by_line(segs) -> dict[Line, list[tuple[Fraction, Fraction, int]]]:
+    """Positive segments grouped by canonical supporting line.
+
+    Each group lists (lo, hi, index): the segment's parameter interval
+    along the line's canonical direction, sorted by start parameter.
+    """
+    groups: dict[Line, list[tuple[Fraction, Fraction, int]]] = {}
+    for i, (a, b) in enumerate(segs):
+        if a == b:
+            continue
+        line = canonical_line(a, b)
+        dx, dy = canonical_line_direction(line)
+        sa, sb = a[0] * dx + a[1] * dy, b[0] * dx + b[1] * dy
+        groups.setdefault(line, []).append((min(sa, sb), max(sa, sb), i))
+    for group in groups.values():
+        group.sort()
+    return groups
+
+
+def overlapping_pairs(segs) -> dict[tuple[int, int], SqrtRational]:
+    """Positive overlap_length of every overlapping ordered pair, row-major.
+
+    Only collinear bars with a one-dimensional common stretch overlap, so
+    each line's bars are swept by start parameter; overlap_length runs
+    once per overlapping ordered pair and never on any other pair.
+    """
+    pairs = []
+    for group in bars_by_line(segs).values():
+        active: list[tuple[Fraction, int]] = []
+        for lo, hi, i in group:
+            active = [(h, k) for h, k in active if h > lo]
+            pairs.extend((min(i, k), max(i, k)) for _, k in active)
+            active.append((hi, i))
+    ordered = sorted(pairs + [(j, i) for i, j in pairs])
+    return {(i, j): overlap_length(segs[i], segs[j]) for i, j in ordered}
+
+
 class AnnotationMatrix:
-    """Dense square matrix of signed overlap values, indexed like edges."""
+    """Square matrix of signed overlap values, indexed like edges.
 
-    entries: tuple[tuple[SqrtRational, ...], ...]
+    Stored as explicit overrides on top of geometry defaults: an entry
+    that is not overridden is ord_value on the matrix's own segments,
+    computed the first time it is read and then cached. A matrix built
+    from rows has no segments and overrides every entry. ``entries``
+    builds the full grid, and matrices compare equal by entries.
+    """
 
-    def __post_init__(self) -> None:
-        n = len(self.entries)
-        rows = tuple(tuple(row) for row in self.entries)
-        object.__setattr__(self, "entries", rows)
+    def __init__(self, entries) -> None:
+        rows = tuple(tuple(row) for row in entries)
+        n = len(rows)
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise AnnotationError("annotation matrix is not square")
             if not row[i].is_zero:
                 raise AnnotationError(f"nonzero diagonal entry at {i}")
+        self.n = n
+        self.segments = None  # defaults come from these; None for rows
+        self.overrides = {(i, j): v for i, r in enumerate(rows) for j, v in enumerate(r)}
+        self._defaults: dict[tuple[int, int], SqrtRational] = {}
+        self._overlap_key = self._overlaps = None  # see overlaps()
 
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def value(self, i: int, j: int) -> SqrtRational:
-        return self.entries[i][j]
+    @classmethod
+    def from_segments(cls, segments, overrides=None) -> "AnnotationMatrix":
+        """Geometry defaults on segments, with off-diagonal overrides."""
+        matrix = cls(())
+        matrix.n, matrix.segments = len(segments), tuple(segments)
+        matrix.overrides = dict(overrides or {})
+        for (i, j), v in matrix.overrides.items():
+            if i == j and not v.is_zero:
+                raise AnnotationError(f"nonzero diagonal entry at {i}")
+        return matrix
 
     @classmethod
     def from_rows(cls, rows) -> "AnnotationMatrix":
@@ -129,19 +187,40 @@ class AnnotationMatrix:
         )
         return cls(conv)
 
+    def value(self, i: int, j: int) -> SqrtRational:
+        v = self.overrides.get((i, j))
+        if v is None:
+            v = self._defaults.get((i, j))
+            if v is None:
+                segs = self.segments
+                v = SqrtRational(0) if i == j else ord_value(segs[i], segs[j])
+                self._defaults[(i, j)] = v
+        return v
+
+    @property
+    def entries(self) -> tuple[tuple[SqrtRational, ...], ...]:
+        n = range(self.n)
+        return tuple(tuple(self.value(i, j) for j in n) for i in n)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AnnotationMatrix):
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
+
+    def overlaps(self, segs) -> dict[tuple[int, int], SqrtRational]:
+        """overlapping_pairs(segs), kept for the segments last asked about."""
+        segs = tuple(segs)
+        if self._overlap_key != segs:
+            self._overlap_key, self._overlaps = segs, overlapping_pairs(segs)
+        return self._overlaps
+
 
 def annotate(linkage: Linkage, configuration: Configuration) -> AnnotationMatrix:
     """Annotation induced by an exact configuration: pairwise signed overlaps."""
     require_conf0(configuration)
-    segs = [configuration.segment(e) for e in linkage.edges]
-    n = len(segs)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(SqrtRational(0))
-            else:
-                row.append(ord_value(segs[i], segs[j]))
-        rows.append(tuple(row))
-    return AnnotationMatrix(tuple(rows))
+    return AnnotationMatrix.from_segments(
+        [configuration.segment(e) for e in linkage.edges]
+    )

@@ -266,8 +266,15 @@ def convex_interpolate(
     interpolated walk polygon is convex (all turns one way, flats
     allowed).
     """
-    t = Fraction(t)
-    if not (0 <= t <= 1):
+    return interpolation_frames(conf_a, conf_b, (t,))[0]
+
+
+def interpolation_frames(
+    conf_a: Configuration, conf_b: Configuration, ts
+) -> tuple[InterpolationResult, ...]:
+    """convex_interpolate at every t in ts, checking the pair only once."""
+    ts = [Fraction(t) for t in ts]
+    if not all(0 <= t <= 1 for t in ts):
         raise ChainError("interpolation parameter must lie in [0, 1]")
     la, lb = conf_a.linkage, conf_b.linkage
     sa, sb = classify_chain(la), classify_chain(lb)
@@ -275,31 +282,29 @@ def convex_interpolate(
         raise ChainError("interpolation needs two chains of the same kind")
     if sa.vertices != sb.vertices or sa.edges != sb.edges:
         raise ChainError("chains disagree on structure")
-    if sa.kind == "closed" and turning_direction(conf_a) != turning_direction(
-        conf_b
-    ):
+    if sa.kind == "closed" and turning_direction(conf_a) != turning_direction(conf_b):
         raise ChainError("closed chains turn in opposite directions")
-
-    edges = []
-    for ea, eb in zip(la.edges, lb.edges):
-        rest = (1 - t) * ea.rest_length + t * eb.rest_length
-        edges.append(type(ea)(ea.id, ea.tail, ea.head, rest))
-    linkage = Linkage(la.vertices, tuple(edges))
-    placement = {}
-    for v in la.vertices:
-        ax, ay = conf_a.placement[v]
-        bx, by = conf_b.placement[v]
-        placement[v] = ((1 - t) * ax + t * bx, (1 - t) * ay + t * by)
     floor = max(conf_a.epsilon, conf_b.epsilon) or Fraction(1, 10**12)
-    eps = certify_epsilon(linkage, placement, floor)
-    conf = Configuration(linkage, placement, eps)
-
-    pts = [placement[v] for v in sa.vertices]
-    m = len(pts)
+    m = len(sa.vertices)
     turns = m if sa.kind == "closed" else m - 2  # open walks do not wrap
-    signs = {
-        sign(orient(pts[i], pts[(i + 1) % m], pts[(i + 2) % m]))
-        for i in range(turns)
-    }
-    convex = len(signs - {0}) <= 1
-    return InterpolationResult(conf, convex, t)
+    frames = []
+    for t in ts:
+        edges = []
+        for ea, eb in zip(la.edges, lb.edges):
+            rest = (1 - t) * ea.rest_length + t * eb.rest_length
+            edges.append(type(ea)(ea.id, ea.tail, ea.head, rest))
+        linkage = Linkage(la.vertices, tuple(edges))
+        placement = {}
+        for v in la.vertices:
+            ax, ay = conf_a.placement[v]
+            bx, by = conf_b.placement[v]
+            placement[v] = ((1 - t) * ax + t * bx, (1 - t) * ay + t * by)
+        eps = certify_epsilon(linkage, placement, floor)
+        conf = Configuration(linkage, placement, eps)
+        pts = [placement[v] for v in sa.vertices]
+        signs = {
+            sign(orient(pts[i], pts[(i + 1) % m], pts[(i + 2) % m]))
+            for i in range(turns)
+        }
+        frames.append(InterpolationResult(conf, len(signs - {0}) <= 1, t))
+    return tuple(frames)

@@ -18,7 +18,7 @@ import tempfile
 from fractions import Fraction
 
 from .annotations import annotate
-from .chains import canonical_closed, canonical_open, classify_chain, convex_interpolate
+from .chains import canonical_closed, canonical_open, classify_chain, interpolation_frames
 from .corridors import corridor_order, corridors, delta_bound
 from .document import (
     Document,
@@ -262,19 +262,12 @@ def _cmd_interpolate(args) -> int:
         ts = [Fraction(k, args.steps) for k in range(args.steps + 1)]
     else:
         ts = [parse_rational(args.t)]
-    frames = []
-    convex_flags = []
-    for t in ts:
-        res = convex_interpolate(conf_a, conf_b, t)
-        frames.append(Frame(t, dict(res.configuration.placement)))
-        convex_flags.append(res.convex)
-    text = write_document(linkage=doc_a.linkage, frames=tuple(frames))
-    _deliver(text, args.out)
-    if all(convex_flags):
-        _say(f"{len(frames)} frame(s), all convex")
-    else:
-        bad = [str(t) for t, c in zip(ts, convex_flags) if not c]
-        _say(f"{len(frames)} frame(s), nonconvex at t = {', '.join(bad)}")
+    results = interpolation_frames(conf_a, conf_b, ts)
+    frames = tuple(Frame(r.t, dict(r.configuration.placement)) for r in results)
+    _deliver(write_document(linkage=doc_a.linkage, frames=frames), args.out)
+    bad = [str(r.t) for r in results if not r.convex]
+    tail = f"nonconvex at t = {', '.join(bad)}" if bad else "all convex"
+    _say(f"{len(frames)} frame(s), {tail}")
     return 0
 
 

@@ -11,11 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .annotations import AnnotationMatrix
+from .annotations import AnnotationMatrix, bars_by_line
 from .errors import CorridorError
 from .geometry import (
     Point,
-    canonical_line,
     canonical_line_direction,
     cross,
     dot,
@@ -51,32 +50,17 @@ def corridors(linkage: Linkage, configuration: Configuration) -> tuple[Corridor,
     """Group positive bars by supporting line and cut into covered segments."""
     require_conf0(configuration)
     C = configuration
-    by_line: dict[tuple[int, int, int], list[int]] = {}
-    for i, e in enumerate(linkage.edges):
-        a, b = C.segment(e)
-        if a == b:
-            continue
-        by_line.setdefault(canonical_line(a, b), []).append(i)
-
+    groups = bars_by_line([C.segment(e) for e in linkage.edges])
     out = []
-    for line in sorted(by_line):
-        bars = sorted(by_line[line])
+    for line in sorted(groups):
+        bars = sorted(i for _, _, i in groups[line])
+        spans = {i: (lo, hi) for lo, hi, i in groups[line]}
         direction = canonical_line_direction(line)
         dvec = (Fraction(direction[0]), Fraction(direction[1]))
-        stations: set[Fraction] = set()
-        for p in set(C.placement.values()):
-            if point_on_line(p, line):
-                stations.add(dot(p, dvec))
-        spans = {}
-        for i in bars:
-            a, b = C.segment(linkage.edges[i])
-            sa, sb = dot(a, dvec), dot(b, dvec)
-            spans[i] = (min(sa, sb), max(sa, sb))
-        ordered = sorted(stations)
-        param_to_point = {}
-        for p in set(C.placement.values()):
-            if point_on_line(p, line):
-                param_to_point[dot(p, dvec)] = p
+        param_to_point = {
+            dot(p, dvec): p for p in set(C.placement.values()) if point_on_line(p, line)
+        }
+        ordered = sorted(param_to_point)
         segments = []
         for sa, sb in zip(ordered, ordered[1:]):
             covering = tuple(

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .adornments import Adornment
-from .annotations import AnnotationMatrix, annotate, overlap_length
+from .annotations import AnnotationMatrix
 from .errors import DocumentError, LinkageError
 from .geometry import Point, dot, sign, vsub
-from .linkage import Configuration, Edge, ExtensionMap, Linkage
+from .linkage import Configuration, Edge, ExtensionMap, Linkage, require_conf0
 from .rationals import SqrtRational, format_rational, parse_rational
 
 FORMAT = "linkfold/1"
@@ -281,45 +281,45 @@ def resolve_annotations(
 
     Layer entries scale the overlap length by the given sign and, when
     the reverse pair is not itself listed, fill it in so the pair
-    describes one coherent local ordering.
+    describes one coherent local ordering. The returned matrix stores
+    only these overrides and carries the overlap index it looked them up in.
     """
-    base = annotate(linkage, configuration)
-    rows = [list(r) for r in base.entries]
-    segs = [configuration.segment(e) for e in linkage.edges]
+    require_conf0(configuration)
+    segs = tuple(configuration.segment(e) for e in linkage.edges)
+    matrix = AnnotationMatrix.from_segments(segs)
+    values = matrix.overrides  # filled in place below
     index = {e.id: i for i, e in enumerate(linkage.edges)}
     explicit: set[tuple[int, int]] = set()
     fills: list[tuple[int, int, SqrtRational]] = []
-    for entry in sparse:
+    for k, entry in enumerate(sparse):
+        path = f"$.annotations[{k}]"
         if entry.first not in index or entry.second not in index:
             raise DocumentError(
-                f"annotation names unknown edge {entry.first!r}/{entry.second!r}"
+                f"annotation names unknown edge {entry.first!r}/{entry.second!r}", path
             )
         i, j = index[entry.first], index[entry.second]
         if i == j:
-            raise DocumentError("annotation on the diagonal")
+            raise DocumentError("annotation on the diagonal", path)
+        explicit.add((i, j))
         if entry.value is not None:
-            rows[i][j] = entry.value
-            explicit.add((i, j))
+            values[(i, j)] = entry.value
             continue
-        ov = overlap_length(segs[i], segs[j])
-        if ov.sign() <= 0:
+        overlaps = matrix.overlaps(segs)
+        if (i, j) not in overlaps:
             raise DocumentError(
                 f"layer annotation on non-overlapping pair "
-                f"{entry.first!r}/{entry.second!r}"
+                f"{entry.first!r}/{entry.second!r}",
+                path,
             )
-        val = ov if entry.layer > 0 else -ov
-        rows[i][j] = val
-        explicit.add((i, j))
+        values[(i, j)] = overlaps[(i, j)].scale(entry.layer)
         di = vsub(segs[i][1], segs[i][0])
         dj = vsub(segs[j][1], segs[j][0])
         flip = -sign(dot(di, dj))
-        rev = overlap_length(segs[j], segs[i])
-        rev_val = rev.scale(flip * entry.layer)
-        fills.append((j, i, rev_val))
+        fills.append((j, i, overlaps[(j, i)].scale(flip * entry.layer)))
     for j, i, val in fills:
         if (j, i) not in explicit:
-            rows[j][i] = val
-    return AnnotationMatrix(tuple(tuple(r) for r in rows))
+            values[(j, i)] = val
+    return matrix
 
 
 def _point_json(p: Point) -> list[str]:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .annotations import AnnotationMatrix, ord_value, overlap_length
+from .annotations import AnnotationMatrix, ord_value
 from .corridors import CorridorOrder, corridor_order, corridors, delta_bound
 from .errors import LinkageError, PerturbationError, ValidationFailure
 from .geometry import Point
@@ -31,6 +31,7 @@ from .rationals import SqrtRational
 from .validator import validate
 
 GOLDEN_ANGLE = 2.399963229728653
+MAX_HALVINGS = 3
 
 
 class _Miss(Exception):
@@ -176,37 +177,15 @@ def _rationalized_snapshot(
     return placement, max_d2
 
 
-def _overlapping_pairs(
-    linkage: Linkage, configuration: Configuration
-) -> list[tuple[int, int, SqrtRational]]:
-    """Ordered pairs (i, j, overlap) of distinct bars that overlap."""
-    segs = [configuration.segment(e) for e in linkage.edges]
-    pairs = []
-    for i, si in enumerate(segs):
-        for j, sj in enumerate(segs):
-            if i == j:
-                continue
-            ov = overlap_length(si, sj)
-            if ov.sign() > 0:
-                pairs.append((i, j, ov))
-    return pairs
-
-
-def _sign_check(
-    linkage: Linkage,
-    annotation: AnnotationMatrix,
-    overlaps: list[tuple[int, int, SqrtRational]],
-    extended: Linkage,
-    snapshot: dict[str, Point],
-    da: Fraction,
-) -> tuple | None:
+def _sign_check(prep: _Prepared, snapshot: dict, da: Fraction) -> tuple | None:
     """Annotation signs must survive on pairs with robust overlaps."""
+    linkage = prep.linkage
     new_segs = [
         (snapshot[e.tail], snapshot[e.head])
-        for e in extended.edges[: len(linkage.edges)]
+        for e in prep.extended.edges[: len(linkage.edges)]
     ]
-    for i, j, ov in overlaps:
-        want = annotation.value(i, j).sign()
+    for (i, j), ov in prep.overlaps.items():
+        want = prep.annotation.value(i, j).sign()
         got = ord_value(new_segs[i], new_segs[j]).sign()
         if got == want:
             continue
@@ -217,57 +196,75 @@ def _sign_check(
     return None
 
 
-def perturb(
-    linkage: Linkage,
-    configuration: Configuration,
-    annotation: AnnotationMatrix,
-    delta,
-    *,
-    max_halvings: int = 3,
-) -> PerturbationResult:
-    """Produce a verified nontouching configuration within distance delta.
+@dataclass(frozen=True)
+class _Prepared:
+    """Everything about one validated input that every radius shares."""
 
-    The input must pass validation and delta must lie strictly inside
-    (0, delta_bound). The output extends the linkage by vertex
-    splitting, carries slack 2 * delta_used, and is checked exactly:
-    fragment containment, membership, nontouching, and preserved
-    annotation signs on overlapping pairs.
-    """
-    delta = Fraction(delta)
-    verdict = validate(linkage, configuration, annotation)
-    if not verdict.ok:
-        raise ValidationFailure("configuration fails validation", verdict)
-    bound = delta_bound(linkage, configuration)
+    linkage: Linkage
+    configuration: Configuration
+    annotation: AnnotationMatrix
+    bound: Fraction
+    orders: tuple[CorridorOrder, ...]
+    psi_map: dict[str, tuple[int, tuple[float, float]]]  # edge id -> (layer, normal)
+    extended: Linkage
+    emap: ExtensionMap
+    overlaps: dict[tuple[int, int], SqrtRational]
+
+
+def _check_range(delta: Fraction, bound: Fraction) -> None:
     if not (0 < delta < bound):
         raise PerturbationError(
             f"delta {delta} outside the admissible range (0, {bound})"
         )
+
+
+def _prepare(
+    linkage: Linkage,
+    configuration: Configuration,
+    annotation: AnnotationMatrix,
+    delta: Fraction,
+) -> _Prepared:
+    """Validate once, check the first radius, and build the layering."""
+    verdict = validate(linkage, configuration, annotation)
+    if not verdict.ok:
+        raise ValidationFailure("configuration fails validation", verdict)
+    bound = delta_bound(linkage, configuration)
+    _check_range(delta, bound)
 
     cors = corridors(linkage, configuration)
     orders = tuple(
         corridor_order(c, annotation, linkage, configuration) for c in cors
     )
     psi_map: dict[str, tuple[int, tuple[float, float]]] = {}
-    psi_plain: dict[str, int] = {}
     for co in orders:
         nx, ny = co.corridor.normal
         nrm = math.hypot(nx, ny)
         u = (nx / nrm, ny / nrm)
         for eid, h in co.psi.items():
             psi_map[eid] = (h, u)
-            psi_plain[eid] = h
 
     extended, _, emap = extend_split(linkage, configuration)
+    overlaps = annotation.overlaps(configuration.segment(e) for e in linkage.edges)
+    return _Prepared(
+        linkage, configuration, annotation, bound, orders, psi_map, extended, emap,
+        overlaps,
+    )
+
+
+def _attempt(
+    prep: _Prepared, delta: Fraction, max_halvings: int = MAX_HALVINGS
+) -> PerturbationResult:
+    """Try delta, then up to max_halvings halvings of it, on a prepared input."""
+    _check_range(delta, prep.bound)
+    linkage, configuration, extended = prep.linkage, prep.configuration, prep.extended
     nedges = max(len(linkage.edges), 1)
     offending: tuple | None = None
-    overlaps = None  # scanned at most once, by the first attempt to reach it
-
     for attempt in range(max_halvings + 1):
         da = delta / (2**attempt)
         if da * nedges >= 1:
             raise PerturbationError("delta too large for the layer offsets")
         try:
-            disp = _float_displacements(linkage, configuration, psi_map, float(da))
+            disp = _float_displacements(linkage, configuration, prep.psi_map, float(da))
         except _Miss as miss:
             offending = miss.info
             continue
@@ -282,27 +279,46 @@ def perturb(
         if witness is not None:
             offending = witness
             continue
-        if overlaps is None:
-            overlaps = _overlapping_pairs(linkage, configuration)
-        sig = _sign_check(linkage, annotation, overlaps, extended, snapshot, da)
+        sig = _sign_check(prep, snapshot, da)
         if sig is not None:
             offending = sig
             continue
         return PerturbationResult(
             linkage=extended,
             configuration=cdelta,
-            extension_map=emap,
+            extension_map=prep.emap,
             delta_requested=delta,
             delta_used=da,
             slack=eps,
-            psi=psi_plain,
-            corridor_orders=orders,
+            psi={eid: h for eid, (h, _) in prep.psi_map.items()},
+            corridor_orders=prep.orders,
             attempts=attempt + 1,
             max_displacement_sq=max_d2,
         )
     raise PerturbationError(
         "no admissible perturbation found after retries", offending
     )
+
+
+def perturb(
+    linkage: Linkage,
+    configuration: Configuration,
+    annotation: AnnotationMatrix,
+    delta,
+    *,
+    max_halvings: int = MAX_HALVINGS,
+) -> PerturbationResult:
+    """Produce a verified nontouching configuration within distance delta.
+
+    The input must pass validation and delta must lie strictly inside
+    (0, delta_bound). The output extends the linkage by vertex
+    splitting, carries slack 2 * delta_used, and is checked exactly:
+    fragment containment, membership, nontouching, and preserved
+    annotation signs on overlapping pairs.
+    """
+    delta = Fraction(delta)
+    prep = _prepare(linkage, configuration, annotation, delta)
+    return _attempt(prep, delta, max_halvings)
 
 
 @dataclass(frozen=True)
@@ -333,15 +349,16 @@ def convergence_probe(
     for a, b in zip(ds, ds[1:]):
         if not b < a:
             raise PerturbationError("delta sequence must be strictly decreasing")
-    bound = delta_bound(linkage, configuration)
-    overlaps = _overlapping_pairs(linkage, configuration)
+    if not ds:
+        return ProbeReport(delta_bound(linkage, configuration), (), True)
+    prep = _prepare(linkage, configuration, annotation, ds[0])
     entries = []
     for d in ds:
-        res = perturb(linkage, configuration, annotation, d)
+        res = _attempt(prep, d)
         snap = res.configuration.placement
         pair_values: dict[tuple[str, str], object] = {}
         max_dev = 0.0
-        for i, j, ov in overlaps:
+        for (i, j), ov in prep.overlaps.items():
             ei, ej = res.linkage.edges[i], res.linkage.edges[j]
             val = ord_value(
                 (snap[ei.tail], snap[ei.head]), (snap[ej.tail], snap[ej.head])
@@ -362,4 +379,4 @@ def convergence_probe(
         b.max_deviation <= a.max_deviation + 1e-12
         for a, b in zip(entries, entries[1:])
     )
-    return ProbeReport(bound=bound, entries=tuple(entries), converging=conv)
+    return ProbeReport(bound=prep.bound, entries=tuple(entries), converging=conv)

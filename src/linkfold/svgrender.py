@@ -17,7 +17,6 @@ from .errors import ValidationFailure
 from .geometry import Point
 from .linkage import Configuration, Linkage
 from .perturb import perturb
-from .validator import validate
 
 _BAR = "#1f2937"
 _NODE = "#b91c1c"
@@ -109,17 +108,17 @@ def render_svg(
     if display_delta > 0:
         if annotation is None:
             annotation = annotate(linkage, configuration)
-        verdict = validate(linkage, configuration, annotation)
-        if not verdict.ok:
-            bad = [c.name for c in verdict.checks if c.status == "fail"]
+        bound = delta_bound(linkage, configuration)
+        duse = min(Fraction(display_delta), bound / 2)
+        try:
+            result = perturb(linkage, configuration, annotation, duse)
+        except ValidationFailure as exc:
+            bad = [c.name for c in exc.report.checks if c.status == "fail"]
             raise ValidationFailure(
                 "cannot render an invalid annotated configuration: "
                 + ", ".join(bad),
-                report=verdict,
-            )
-        bound = delta_bound(linkage, configuration)
-        duse = min(Fraction(display_delta), bound / 2)
-        result = perturb(linkage, configuration, annotation, duse)
+                report=exc.report,
+            ) from None
         geo = result.configuration
         ext = result.linkage
         original_ids = {e.id for e in linkage.edges}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .annotations import AnnotationMatrix, ord_value, overlap_length, strict_crossing
+from .annotations import AnnotationMatrix, ord_value, strict_crossing
 from .errors import AnnotationError
 from .geometry import (
     angle_descending_key,
@@ -155,31 +155,36 @@ def check_macroscopic(linkage: Linkage, configuration: Configuration) -> CheckRe
 def check_well_annotated(
     linkage: Linkage, configuration: Configuration, annotation: AnnotationMatrix
 ) -> CheckReport:
-    """Entries carry overlap magnitudes on overlapping pairs, exact values elsewhere."""
-    segs = [configuration.segment(e) for e in linkage.edges]
+    """Entries carry overlap magnitudes on overlapping pairs, exact values elsewhere.
+
+    Defaults on these same segments are wrong only on overlapping pairs,
+    so then just the overrides and the overlapping pairs are checked.
+    """
+    segs = tuple(configuration.segment(e) for e in linkage.edges)
+    overlaps = annotation.overlaps(segs)
     n = len(segs)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            a = annotation.value(i, j)
-            ov = overlap_length(segs[i], segs[j])
-            if ov.sign() > 0:
-                if a != ov and a != -ov:
-                    return CheckReport(
-                        "well-annotated",
-                        "fail",
-                        (linkage.edges[i].id, linkage.edges[j].id),
-                        "entry magnitude differs from the overlap length",
-                    )
-            else:
-                if a != ord_value(segs[i], segs[j]):
-                    return CheckReport(
-                        "well-annotated",
-                        "fail",
-                        (linkage.edges[i].id, linkage.edges[j].id),
-                        "entry differs from the signed overlap",
-                    )
+    if annotation.segments == segs:
+        pairs = sorted(overlaps.keys() | annotation.overrides.keys())
+    else:
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for i, j in pairs:
+        a = annotation.value(i, j)
+        ov = overlaps.get((i, j))
+        if ov is not None:
+            if a != ov and a != -ov:
+                return CheckReport(
+                    "well-annotated",
+                    "fail",
+                    (linkage.edges[i].id, linkage.edges[j].id),
+                    "entry magnitude differs from the overlap length",
+                )
+        elif a != ord_value(segs[i], segs[j]):
+            return CheckReport(
+                "well-annotated",
+                "fail",
+                (linkage.edges[i].id, linkage.edges[j].id),
+                "entry differs from the signed overlap",
+            )
     return CheckReport("well-annotated", "pass")
 
 

@@ -9,9 +9,11 @@ geometric order value.
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
-from linkfold.adornments import AdornedChain, Adornment
+from linkfold.adornments import AdornedChain, Adornment, adorned_chain_to_linkage
 from linkfold.annotations import (
     AnnotationMatrix,
     annotate,
@@ -27,6 +29,7 @@ from linkfold.geometry import (
     sign,
     vsub,
 )
+from linkfold.document import SparseAnnotation, parse_linkage_file, resolve_annotations
 from linkfold.errors import ChainError
 from linkfold.linkage import (
     Configuration,
@@ -46,8 +49,10 @@ from linkfold.semialgebra import (
     Poly,
     TaggedAssert,
 )
+from linkfold.validator import CheckReport
 
 F = Fraction
+DOCS_DIR = Path(__file__).parent / "data" / "docs"
 
 
 def mk_linkage(edge_specs, vertices=None):
@@ -214,30 +219,101 @@ def cyclic_gadget():
     return L, C, AnnotationMatrix.from_rows(rows)
 
 
-def hinged_strip(xs):
-    """Flat strip on the x-axis through stations xs, bar k at layer k.
+def layered_strip(xs, hinged=False, frame=((1, 0, 1), (0, 0))):
+    """Flat strip through stations xs, bar k at layer k; (L, C, heights).
 
-    Every fold vertex is split into two co-located vertices joined by a
-    zero-length bar, as the benchmark's hinged fold strips are.
+    Hinged strips split every fold vertex into two co-located vertices
+    joined by a zero-length bar, as the benchmark's hinged fold strips
+    are. frame = ((dx, dy, norm), origin) places station x at origin +
+    x * (dx, dy) / norm, so rational directions keep coordinates exact.
     """
-    specs, coords, heights = [], {"v0": (xs[0], 0)}, {}
+    (dx, dy, nm), (ox, oy) = frame
+
+    def at(x):
+        return (ox + F(x * dx, nm), oy + F(x * dy, nm))
+
+    specs, coords, heights = [], {"v0": at(xs[0])}, {}
     prev, count = "v0", 1
     n = len(xs) - 1
     for k in range(n):
         head = f"v{count}"
         count += 1
-        coords[head] = (xs[k + 1], 0)
+        coords[head] = at(xs[k + 1])
         specs.append((f"e{k + 1}", prev, head, abs(xs[k + 1] - xs[k])))
         heights[f"e{k + 1}"] = k
         prev = head
-        if k < n - 1:
+        if hinged and k < n - 1:
             prev = f"v{count}"
             count += 1
             coords[prev] = coords[head]
             specs.append((f"h{k + 1}", head, prev, 0))
     L = mk_linkage(specs)
-    C = conf(L, coords)
+    return L, conf(L, coords), heights
+
+
+def hinged_strip(xs):
+    """Hinged layered_strip on the x-axis with its layered annotation."""
+    L, C, heights = layered_strip(xs, hinged=True)
     return L, C, annotation_from_layers(L, C, heights)
+
+
+def layer_entries(linkage, configuration, heights):
+    """Document layer entries, both orders, for every overlapping bar pair."""
+    segs = [configuration.segment(e) for e in linkage.edges]
+    entries = []
+    for i, j in reference_overlapping_pairs(segs):
+        d = canonical_line_direction(canonical_line(*segs[i]))
+        orient_i = sign(dot(vsub(segs[i][1], segs[i][0]), d))
+        ei, ej = linkage.edges[i].id, linkage.edges[j].id
+        up = 1 if heights[ej] > heights[ei] else -1
+        entries.append(SparseAnnotation(ei, ej, layer=orient_i * up))
+    return tuple(entries)
+
+
+def random_layered_flat(rng: random.Random, n: int):
+    """Zigzag or nested-spiral strip of n bars, maybe hinged, in a random
+    rational frame; returns (L, C, heights)."""
+    xs = [0]
+    if rng.random() < 0.5:
+        for k in range(n):
+            last = rng.randint(2, 4) if k % 2 == 0 else -rng.randint(1, last - 1)
+            xs.append(xs[-1] + last)
+    else:
+        lengths = sorted(rng.sample(range(1, 3 * n + 1), n), reverse=True)
+        for k, length in enumerate(lengths):
+            xs.append(xs[-1] + (length if k % 2 == 0 else -length))
+    origin = (F(rng.randint(-3, 3), 2), F(rng.randint(-3, 3)))
+    frame = (rng.choice(RATIONAL_DIRS), origin)
+    return layered_strip(xs, hinged=rng.random() < 0.3, frame=frame)
+
+
+def corpus_geometries():
+    """(name, L, C, A) for every document in tests/data/docs.
+
+    Exact placements carry the document's resolved annotation. Unplaced
+    linkages get vertex k at (k mod 3, 0) with an epsilon that admits it,
+    so their bars overlap along one line; adornment-only documents give
+    one linkage per adornment. A slack placement keeps geometry defaults.
+    """
+    out = []
+    for path in sorted(DOCS_DIR.glob("*.json")):
+        doc = parse_linkage_file(path.read_text(encoding="utf-8"))
+        if doc.linkage is None:
+            chains = [AdornedChain((a,)) for a in doc.adornments]
+            placed = [adorned_chain_to_linkage(chain) for chain in chains]
+        elif doc.configuration is None:
+            L = doc.linkage
+            P = {v: (F(k % 3), F(0)) for k, v in enumerate(L.vertices)}
+            placed = [(L, Configuration(L, P, big_eps(L, P)))]
+        else:
+            placed = [(doc.linkage, doc.configuration)]
+        for L, C in placed:
+            if C.epsilon == 0:
+                A = resolve_annotations(L, C, doc.annotations)
+            else:
+                A = AnnotationMatrix.from_segments([C.segment(e) for e in L.edges])
+            out.append((path.stem, L, C, A))
+    return out
 
 
 def perturbation_corpus():
@@ -677,3 +753,66 @@ def reference_emit_nconf(linkage, epsilon):
                 )
             )
     return ConstraintSystem(base.variables, tuple(asserts))
+
+
+def reference_overlapping_pairs(segs):
+    """The n-squared overlap filter: ordered pairs with positive overlap."""
+    out = {}
+    for i, si in enumerate(segs):
+        for j, sj in enumerate(segs):
+            if i != j:
+                ov = overlap_length(si, sj)
+                if ov.sign() > 0:
+                    out[(i, j)] = ov
+    return out
+
+
+def reference_check_well_annotated(linkage, configuration, annotation):
+    """The dense well-annotated check: every ordered pair, row-major."""
+    segs = [configuration.segment(e) for e in linkage.edges]
+    n = len(segs)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            a = annotation.value(i, j)
+            ov = overlap_length(segs[i], segs[j])
+            if ov.sign() > 0:
+                if a != ov and a != -ov:
+                    return CheckReport(
+                        "well-annotated",
+                        "fail",
+                        (linkage.edges[i].id, linkage.edges[j].id),
+                        "entry magnitude differs from the overlap length",
+                    )
+            else:
+                if a != ord_value(segs[i], segs[j]):
+                    return CheckReport(
+                        "well-annotated",
+                        "fail",
+                        (linkage.edges[i].id, linkage.edges[j].id),
+                        "entry differs from the signed overlap",
+                    )
+    return CheckReport("well-annotated", "pass")
+
+
+def count_calls(monkeypatch, module, names):
+    """Count calls to module's functions through every linkfold binding.
+
+    module is a linkfold module (say linkfold.annotations); each named
+    function is replaced in every linkfold module that imported it.
+    Returns a dict name -> call count that fills in as calls happen.
+    """
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").split(".")[0] == "linkfold":
+                if getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, counted)
+    return counts

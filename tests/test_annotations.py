@@ -5,12 +5,23 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import RATIONAL_DIRS, conf, zero_cluster_star, mk_linkage, straight_chain
+from helpers import (
+    RATIONAL_DIRS,
+    conf,
+    corpus_geometries,
+    mk_linkage,
+    random_layered_flat,
+    random_sa_instance,
+    reference_overlapping_pairs,
+    straight_chain,
+    zero_cluster_star,
+)
 from linkfold.annotations import (
     AnnotationMatrix,
     annotate,
     ord_value,
     overlap_length,
+    overlapping_pairs,
     strict_crossing,
 )
 from linkfold.errors import AnnotationError, LinkageError
@@ -238,3 +249,46 @@ def test_annotate_side_values():
     A = annotate(L, C)
     assert A.value(0, 1) == 2  # partner runs fully on the left
     assert A.value(1, 0) == -2  # and sees the long bar on its right
+
+
+def test_overlapping_pairs_matches_reference():
+    # same pairs, same values, same row-major order as the n-squared filter
+    rng = random.Random(17)
+    cases = [[C.segment(e) for e in L.edges] for _, L, C, _ in corpus_geometries()]
+    for _ in range(150):
+        L, C, _ = random_layered_flat(rng, rng.randint(1, 12))
+        cases.append([C.segment(e) for e in L.edges])
+    for _ in range(400):
+        L, P, _ = random_sa_instance(rng)
+        cases.append([(P[e.tail], P[e.head]) for e in L.edges])
+    hits = 0
+    for segs in cases:
+        got = overlapping_pairs(segs)
+        assert list(got.items()) == list(reference_overlapping_pairs(segs).items())
+        hits += bool(got)
+    assert hits >= 200
+
+
+def test_annotation_matrix_overrides_over_defaults():
+    L = mk_linkage([("e1", "a", "b", 4), ("e2", "c", "d", 2), ("e3", "p", "q", 1)])
+    C = conf(L, {"a": (0, 0), "b": (4, 0), "c": (1, 1), "d": (3, 1),
+                 "p": (1, 0), "q": (2, 0)})
+    segs = [C.segment(e) for e in L.edges]
+    dense = AnnotationMatrix(
+        tuple(
+            tuple(SqrtRational(0) if i == j else ord_value(segs[i], segs[j])
+                  for j in range(3))
+            for i in range(3)
+        )
+    )
+    A = annotate(L, C)
+    assert A.overrides == {} and A.segments == tuple(segs)
+    assert A == dense and A.entries == dense.entries and hash(A) == hash(dense)
+    B = AnnotationMatrix.from_segments(segs, {(0, 2): SqrtRational(-1)})
+    assert B.value(0, 2) == -1 and B.value(2, 0) == A.value(2, 0)
+    assert B != A
+    assert B.entries[0] == (0, 2, -1)
+    assert A.overlaps(segs) == {(0, 2): 1, (2, 0): 1}
+    assert A.overlaps(segs) is A.overlaps(tuple(segs))  # kept, not rescanned
+    with pytest.raises(AnnotationError):
+        AnnotationMatrix.from_segments(segs, {(1, 1): SqrtRational(1)})

@@ -1,5 +1,6 @@
 """CLI subcommands: exit codes, reports, and artifacts."""
 
+import importlib
 import json
 import os
 import shutil
@@ -13,6 +14,7 @@ import pytest
 from helpers import (
     closed_chain_linkage,
     conf,
+    count_calls,
     cyclic_gadget,
     doubled_chain,
     interleave_gadget,
@@ -216,6 +218,61 @@ def test_perturb_sweep(capsys, tmp_path):
     assert "shrinks" in err
 
 
+def test_sweep_and_render_validate_once(capsys, tmp_path, monkeypatch):
+    doc = valid_doubled_doc(tmp_path)
+    validator = importlib.import_module("linkfold.validator")
+    calls = count_calls(monkeypatch, validator, ["validate"])
+    code, out, _ = run(capsys, "perturb", doc, "--delta", "1/10", "--sweep", "3")
+    assert code == 0 and len(json.loads(out)["entries"]) == 3
+    assert calls["validate"] == 1
+    code, _, _ = run(capsys, "render", doc, "--display-delta", "1/20")
+    assert code == 0
+    assert calls["validate"] == 2
+    # the failure still names the failing checks and carries the verdict
+    code, _, err = run(
+        capsys, "render", zero_annotation_doc(tmp_path), "--display-delta", "1/20"
+    )
+    assert code == 2
+    assert err.strip() == (
+        "check failed: cannot render an invalid annotated configuration: "
+        "well-annotated"
+    )
+    assert calls["validate"] == 3
+
+
+def test_resolve_errors_name_the_entry(capsys, tmp_path):
+    L, C, _ = doubled_chain()
+    layer = SparseAnnotation("e1", "e2", layer=1)
+    unknown = SparseAnnotation("nope", "e2", layer=1)
+    diagonal = SparseAnnotation("e2", "e2", value=SqrtRational(0))
+    for bad, message in (
+        (unknown, "annotation names unknown edge 'nope'/'e2'"),
+        (diagonal, "annotation on the diagonal"),
+    ):
+        doc = write(
+            tmp_path / "bad.json",
+            write_document(linkage=L, configuration=C, annotations=(layer, bad)),
+        )
+        code, _, err = run(capsys, "validate", doc)
+        assert code == 1
+        assert err.strip() == f"error: $.annotations[1]: {message}"
+    L2 = mk_linkage([("e1", "a", "b", 1), ("e2", "c", "d", 1)])
+    C2 = conf(L2, {"a": (0, 0), "b": (1, 0), "c": (0, 1), "d": (1, 1)})
+    doc = write(
+        tmp_path / "apart.json",
+        write_document(
+            linkage=L2,
+            configuration=C2,
+            annotations=(SparseAnnotation("e2", "e1", value=SqrtRational(-1)), layer),
+        ),
+    )
+    code, _, err = run(capsys, "validate", doc)
+    assert code == 1
+    assert err.strip() == (
+        "error: $.annotations[1]: layer annotation on non-overlapping pair 'e1'/'e2'"
+    )
+
+
 def test_perturb_errors(capsys, tmp_path):
     doc = valid_doubled_doc(tmp_path)
     code, _, err = run(capsys, "perturb", doc, "--delta", "0")
@@ -322,6 +379,17 @@ def test_interpolate(capsys, tmp_path):
     )
     code, _, err = run(capsys, "interpolate", a, tri)
     assert code == 1
+
+
+def test_interpolate_checks_the_pair_once(capsys, tmp_path, monkeypatch):
+    a = square_doc(tmp_path, 1, "sq1.json")
+    b = square_doc(tmp_path, F(11, 10), "sq2.json")
+    chains = importlib.import_module("linkfold.chains")
+    calls = count_calls(monkeypatch, chains, ["turning_direction"])
+    code, out, _ = run(capsys, "interpolate", a, b, "--steps", "10")
+    assert code == 0
+    assert len(parse_linkage_file(out).frames) == 11
+    assert calls["turning_direction"] == 2  # once per input, not once per frame
 
 
 def test_emit_sa(capsys, tmp_path):

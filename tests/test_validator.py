@@ -7,15 +7,27 @@ import pytest
 
 from helpers import (
     annotation_from_layers,
+    big_eps,
     conf,
+    corpus_geometries,
+    count_calls,
     cyclic_gadget,
     doubled_chain,
     interleave_gadget,
+    layer_entries,
+    layered_strip,
     mk_linkage,
     perturbation_corpus,
+    random_layered_flat,
+    random_linkage,
     random_nontouching,
+    random_sa_instance,
+    reference_check_well_annotated,
+    reference_overlapping_pairs,
 )
+import linkfold.annotations
 from linkfold.annotations import AnnotationMatrix, annotate
+from linkfold.document import resolve_annotations
 from linkfold.errors import AnnotationError, LinkageError
 from linkfold.linkage import Configuration, Linkage
 from linkfold.validator import (
@@ -263,3 +275,92 @@ def test_microscopic_direct_use():
     vd = magnified_views(Ld, Cd)
     wd = check_well_ordered(vd, Ad)
     assert check_microscopic(vd, wd.orders).status == "pass"
+
+
+def _mutated(rng, A, overlapping):
+    """A with one entry negated, doubled or zeroed, half the time on an
+    overlapping pair; returns (matrix, pair)."""
+    if overlapping and rng.random() < 0.5:
+        pair = rng.choice(sorted(overlapping))
+    else:
+        i, j = rng.sample(range(A.n), 2)
+        pair = (i, j)
+    v = A.value(*pair)
+    new = rng.choice([-v, v.scale(2), v.scale(0)])
+    return AnnotationMatrix.from_segments(A.segments, {**A.overrides, pair: new}), pair
+
+
+def test_well_annotated_matches_dense_reference():
+    # the sparse check gives the dense scan's report, witness and detail
+    rng = random.Random(2026)
+    bases = [(L, C, A) for _, L, C, A in corpus_geometries()]
+    for _ in range(60):
+        L, C, heights = random_layered_flat(rng, rng.randint(2, 10))
+        bases.append((L, C, resolve_annotations(L, C, layer_entries(L, C, heights))))
+    for _ in range(120):
+        L, P, _ = random_sa_instance(rng)
+        C = Configuration(L, P, big_eps(L, P))
+        A = AnnotationMatrix.from_segments([C.segment(e) for e in L.edges])
+        bases.append((L, C, A))
+    statuses = []
+    mutants = {"overlapping": 0, "other": 0}
+    for L, C, A in bases:
+        cases = [A]
+        segs = [C.segment(e) for e in L.edges]
+        overlapping = reference_overlapping_pairs(segs)
+        if A.n >= 2:
+            for _ in range(3):
+                B, pair = _mutated(rng, A, overlapping)
+                mutants["overlapping" if pair in overlapping else "other"] += 1
+                cases.append(B)
+        for B in cases:
+            got = check_well_annotated(L, C, B)
+            assert got == reference_check_well_annotated(L, C, B)
+            statuses.append(got.status)
+    assert sum(mutants.values()) >= 500
+    assert min(mutants.values()) >= 150
+    assert statuses.count("fail") >= 150 and statuses.count("pass") >= 150
+
+
+def test_well_annotated_foreign_defaults_check_every_pair():
+    # defaults from another configuration or edge order are checked densely
+    rng = random.Random(7)
+    fails = 0
+    for k in range(200):
+        if k % 2:
+            L, C1, heights = random_layered_flat(rng, rng.randint(2, 8))
+            A = resolve_annotations(L, C1, layer_entries(L, C1, heights))
+        else:
+            L, C1 = random_linkage(rng, 2, 6)
+            A = annotate(L, C1)
+        P = {v: (-p[0], p[1] + 1) for v, p in C1.placement.items()}
+        v = rng.choice(L.vertices)
+        P[v] = (P[v][0] + F(rng.randint(-2, 2), 4), P[v][1] + F(rng.randint(-2, 2), 4))
+        L2 = Linkage(L.vertices, tuple(reversed(L.edges)))
+        for Lx, Cx in (
+            (L, Configuration(L, P, big_eps(L, P))),
+            (L2, Configuration(L2, C1.placement, 0)),
+        ):
+            got = check_well_annotated(Lx, Cx, A)
+            assert got == reference_check_well_annotated(Lx, Cx, A)
+            fails += got.status == "fail"
+    assert fails >= 100
+
+
+def test_resolve_and_validate_call_counts(monkeypatch):
+    # 64-bar layered zigzag through 0, 3, 1, 4, 2, ...: every bar overlaps
+    # its neighbours, 432 ordered pairs in all, out of 64 * 63 = 4032
+    xs = [0]
+    for k in range(64):
+        xs.append(xs[-1] + (3 if k % 2 == 0 else -2))
+    L, C, heights = layered_strip(xs)
+    entries = layer_entries(L, C, heights)
+    segs = [C.segment(e) for e in L.edges]
+    assert len(reference_overlapping_pairs(segs)) == 432 == len(entries)
+    names = ("overlap_length", "ord_value")
+    counts = count_calls(monkeypatch, linkfold.annotations, names)
+    A = resolve_annotations(L, C, entries)
+    assert validate(L, C, A).ok
+    # one overlap_length per overlapping ordered pair, shared by resolve and
+    # validate; every ord_value default is either overridden or never read
+    assert counts == {"overlap_length": 432, "ord_value": 0}
