@@ -11,7 +11,6 @@ to the base.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,11 +23,12 @@ from .geometry import (
     orient,
     properly_cross,
     rot90ccw,
+    shoelace2,
     sqdist,
     vsub,
 )
 from .linkage import Configuration, Edge, Linkage, certify_epsilon
-from .rationals import exact_sqrt
+from .rationals import sqrt_lower_bound
 
 
 @dataclass(frozen=True)
@@ -45,13 +45,6 @@ class Adornment:
 
     def base_points(self) -> tuple[Point, Point]:
         return self.boundary[self.base[0]], self.boundary[self.base[1]]
-
-
-def _shoelace2(pts: tuple[Point, ...]) -> Fraction:
-    total = Fraction(0)
-    for a, b in zip(pts, pts[1:] + pts[:1]):
-        total += cross(a, b)
-    return total
 
 
 def _point_in_polygon(p: Point, pts: tuple[Point, ...]) -> bool:
@@ -76,7 +69,7 @@ def validate_adornment(adornment: Adornment) -> None:
         raise AdornmentError("polygon needs at least three vertices")
     if len(set(pts)) != n:
         raise AdornmentError("repeated boundary vertex")
-    if _shoelace2(pts) <= 0:
+    if shoelace2(pts) <= 0:
         raise AdornmentError("boundary must be counterclockwise")
     for k in range(n):
         a, b, c = pts[k - 1], pts[k], pts[(k + 1) % n]
@@ -220,7 +213,7 @@ def triangulate(adornment: Adornment) -> tuple[tuple[Point, Point, Point], ...]:
             raise AdornmentError("ear clipping failed; polygon not simple")
     tris.append((pts[idx[0]], pts[idx[1]], pts[idx[2]]))
     area2 = sum(orient(a, b, c) for a, b, c in tris)
-    if area2 != _shoelace2(pts):
+    if area2 != shoelace2(pts):
         raise AdornmentError("triangulation does not cover the region")
     return tuple(tris)
 
@@ -238,8 +231,9 @@ def adorned_chain_to_linkage(chain: AdornedChain) -> tuple[Linkage, Configuratio
 
     Every triangle edge and every base becomes a bar; vertices are keyed
     by exact location. Rest lengths are exact where the squared distance
-    is a perfect square and 12-digit rational approximations otherwise,
-    with the slack bound certified against the placement.
+    is a perfect square and otherwise rational lower bounds within
+    10^-12 of the root at any size, so the slack bound certified against
+    the placement is 0 or 10^-10.
     """
     if not chain.adornments:
         raise AdornmentError("empty adorned chain")
@@ -276,16 +270,11 @@ def adorned_chain_to_linkage(chain: AdornedChain) -> tuple[Linkage, Configuratio
 
     edges = []
     for k, (u, w) in enumerate(bars):
-        d2 = sqdist(u, w)
-        root = exact_sqrt(d2)
-        if root is None:
-            root = Fraction(math.sqrt(float(d2))).limit_denominator(10**12)
+        root = sqrt_lower_bound(sqdist(u, w))
         edges.append(Edge(f"e{k}", vertex(u), vertex(w), root))
 
     linkage = Linkage(tuple(vid[p] for p in vid), tuple(edges))
     placement = {vertex(p): p for p in vid}
     eps = certify_epsilon(linkage, placement, Fraction(1, 10**10))
-    if eps > 1:
-        raise AdornmentError("could not certify a slack bound")
     configuration = Configuration(linkage, placement, eps)
     return linkage, configuration

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ChainError
-from .geometry import cross, orient, sign
+from .geometry import orient, shoelace2, sign
 from .linkage import Configuration, Linkage, certify_epsilon
 
 _BISECT_STEPS = 200
@@ -219,7 +219,7 @@ def canonical_closed(
         )
         for vid, p in zip(shape.vertices, cleaned)
     }
-    area2 = _walk_area2(placement, shape.vertices)
+    area2 = shoelace2([placement[v] for v in shape.vertices])
     if area2 == 0:
         raise ChainError("degenerate circular placement")
     want_ccw = direction == "ccw"
@@ -230,19 +230,12 @@ def canonical_closed(
     return CanonicalConfiguration(conf, "concyclic", shape, radius, direction)
 
 
-def _walk_area2(placement: dict, order: tuple[str, ...]) -> Fraction:
-    total = Fraction(0)
-    for a, b in zip(order, order[1:] + order[:1]):
-        total += cross(placement[a], placement[b])
-    return total
-
-
 def turning_direction(configuration: Configuration) -> str:
     """Orientation of a closed chain's walk polygon: "ccw" or "cw"."""
     shape = classify_chain(configuration.linkage)
     if shape.kind != "closed":
         raise ChainError("turning direction needs a closed chain")
-    area2 = _walk_area2(configuration.placement, shape.vertices)
+    area2 = shoelace2([configuration.placement[v] for v in shape.vertices])
     if area2 == 0:
         raise ChainError("degenerate walk polygon has no turning direction")
     return "ccw" if area2 > 0 else "cw"

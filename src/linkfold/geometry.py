@@ -30,6 +30,14 @@ def cross(a: Vec, b: Vec) -> Fraction:
     return a[0] * b[1] - a[1] * b[0]
 
 
+def shoelace2(pts: list[Point] | tuple[Point, ...]) -> Fraction:
+    """Twice the signed area of the closed polygon through pts."""
+    total = Fraction(0)
+    for a, b in zip(pts, pts[1:] + pts[:1]):
+        total += cross(a, b)
+    return total
+
+
 def sqnorm(v: Vec) -> Fraction:
     return v[0] * v[0] + v[1] * v[1]
 

@@ -70,7 +70,11 @@ def exact_sqrt(value: Scalar) -> Fraction | None:
     return None
 
 
-def sqrt_lower_bound(value: Scalar, scale: int = 10**12) -> Fraction:
+# the square-root bounds are within 1/SQRT_SCALE of the root
+SQRT_SCALE = 10**12
+
+
+def sqrt_lower_bound(value: Scalar) -> Fraction:
     """Rational r with r <= sqrt(value), exact when sqrt(value) is rational."""
     f = Fraction(value)
     if f < 0:
@@ -80,10 +84,10 @@ def sqrt_lower_bound(value: Scalar, scale: int = 10**12) -> Fraction:
         return root
     # isqrt(n*d*S^2) / (d*S) <= sqrt(n/d), off by at most 1/(d*S)
     n, d = f.numerator, f.denominator
-    return Fraction(math.isqrt(n * d * scale * scale), d * scale)
+    return Fraction(math.isqrt(n * d * SQRT_SCALE**2), d * SQRT_SCALE)
 
 
-def sqrt_upper_bound(value: Scalar, scale: int = 10**12) -> Fraction:
+def sqrt_upper_bound(value: Scalar) -> Fraction:
     """Rational r with r >= sqrt(value), exact when sqrt(value) is rational."""
     f = Fraction(value)
     if f < 0:
@@ -92,16 +96,18 @@ def sqrt_upper_bound(value: Scalar, scale: int = 10**12) -> Fraction:
     if root is not None:
         return root
     n, d = f.numerator, f.denominator
-    return Fraction(math.isqrt(n * d * scale * scale) + 1, d * scale)
+    return Fraction(math.isqrt(n * d * SQRT_SCALE**2) + 1, d * SQRT_SCALE)
 
 
 @dataclass(frozen=True)
 class SqrtRational:
     """Exact value coeff * sqrt(radicand) with rational coeff, radicand >= 0.
 
-    Normalization folds perfect-square factors of the radicand into the
-    coefficient, so 2*sqrt(8) and 4*sqrt(2) compare equal and hash alike.
-    Zero is always stored as (0, 0).
+    Normalization folds a radicand that is a perfect square as a whole
+    into the coefficient (radicand 1) and keeps any other radicand as
+    given. Equality, order and hashing go by value, so 2*sqrt(8) and
+    4*sqrt(2) compare equal and hash alike, yet keep their own fields and
+    print differently. Zero is always stored as (0, 0).
     """
 
     coeff: Fraction

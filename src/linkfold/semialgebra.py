@@ -23,52 +23,18 @@ Monomial = tuple[str, ...]
 
 @dataclass(frozen=True)
 class Poly:
-    """Multivariate polynomial with exact rational coefficients.
+    """Multivariate polynomial with exact rational coefficients, as data.
 
-    Terms are sorted by monomial (a sorted tuple of variable names) and
-    carry nonzero int or Fraction coefficients; equal polynomials have
-    equal terms and serialize to the same text.
+    _norm builds it from a monomial -> coefficient dict: terms sorted by
+    monomial (a sorted tuple of variable names), nonzero int or Fraction
+    coefficients. Equal polynomials have equal terms and equal text.
     """
 
     terms: tuple[tuple[Monomial, Fraction], ...]
 
     @staticmethod
     def _norm(data: dict[Monomial, Fraction]) -> "Poly":
-        items = tuple(
-            (m, c) for m, c in sorted(data.items()) if c != 0
-        )
-        return Poly(items)
-
-    @classmethod
-    def const(cls, value) -> "Poly":
-        return cls._norm({(): Fraction(value)})
-
-    @classmethod
-    def var(cls, name: str) -> "Poly":
-        return cls._norm({(name,): Fraction(1)})
-
-    def _data(self) -> dict[Monomial, Fraction]:
-        return dict(self.terms)
-
-    def __add__(self, other: "Poly") -> "Poly":
-        data = self._data()
-        for m, c in other.terms:
-            data[m] = data.get(m, Fraction(0)) + c
-        return Poly._norm(data)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __neg__(self) -> "Poly":
-        return Poly(tuple((m, -c) for m, c in self.terms))
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        data: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = tuple(sorted(m1 + m2))
-                data[m] = data.get(m, Fraction(0)) + c1 * c2
-        return Poly._norm(data)
+        return Poly(tuple((m, c) for m, c in sorted(data.items()) if c != 0))
 
 
 @dataclass(frozen=True)
@@ -548,110 +514,117 @@ def serialize(system: ConstraintSystem) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _tokenize(text: str) -> list:
-    toks = []
-    families = {}
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == ";":
-            j = text.find("\n", i)
-            j = n if j < 0 else j
-            if text.startswith(_FAMILY_PREFIX, i):
-                families[len(toks)] = text[i + len(_FAMILY_PREFIX) : j]
-            i = j
-        elif ch in "()":
-            toks.append(ch)
-            i += 1
-        elif ch == "|":
-            j = text.find("|", i + 1)
-            if j < 0:
-                raise LinkageError("unterminated quoted symbol")
-            toks.append(text[i + 1 : j])
-            i = j + 1
-        elif ch.isspace():
-            i += 1
+# parse_constraints refuses deeper nesting; serialize nests 12 deep at most
+MAX_NESTING = 64
+# a comment, a parenthesis, a |quoted| symbol, a bare word or a stray bar
+_TOKEN = re.compile(r";[^\n]*|[()]|\|[^|]*\||[^\s();|]+|\|")
+
+
+def _read(text: str):
+    """Yield (family, expr) per top-level s-expression.
+
+    Lists read as tuples and unsigned decimals as ints. family is the
+    "; family:" comment just before expr, or "".
+    """
+    stack: list[list] = []
+    family = ""
+    for tok in _TOKEN.findall(text):
+        if tok == "(":
+            stack.append([])
+            if len(stack) > MAX_NESTING:
+                raise LinkageError(f"nesting deeper than {MAX_NESTING}")
+        elif tok[0] == ";":
+            if not stack and tok.startswith(_FAMILY_PREFIX):
+                family = tok[len(_FAMILY_PREFIX) :]
+        elif tok == "|":
+            raise LinkageError("unterminated quoted symbol")
         else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in "();|":
-                j += 1
-            toks.append(text[i:j])
-            i = j
-    return [toks, families]
+            if tok == ")":
+                if not stack:
+                    raise LinkageError("unbalanced ')'")
+                tok = tuple(stack.pop())
+            elif tok.isdecimal():
+                try:
+                    tok = int(tok)
+                except ValueError:  # more digits than int() converts
+                    raise LinkageError(f"{len(tok)}-digit integer") from None
+            if stack:
+                stack[-1].append(tok)
+            else:
+                yield family, tok
+                family = ""
+    if stack:
+        raise LinkageError("unbalanced '(': text ends inside an expression")
 
 
-def _read_sexp(toks: list, pos: int):
-    if toks[pos] == "(":
-        out = []
-        pos += 1
-        while toks[pos] != ")":
-            item, pos = _read_sexp(toks, pos)
-            out.append(item)
-        return out, pos + 1
-    return toks[pos], pos + 1
+def _symbol_name(tok) -> str:
+    # serialize quotes every symbol that starts with a digit
+    if isinstance(tok, str) and not tok[0].isdigit():
+        return tok[1:-1] if tok[0] == "|" else tok
+    raise LinkageError(f"expected a symbol, got {tok!r}")
 
 
-def _parse_poly(expr) -> Poly:
-    if isinstance(expr, str):
-        if re.match(r"-?\d+\Z", expr):
-            return Poly.const(Fraction(int(expr)))
-        return Poly.var(expr)
-    head = expr[0]
-    args = expr[1:]
-    if head == "+":
-        out = Poly.const(0)
-        for a in args:
-            out = out + _parse_poly(a)
-        return out
-    if head == "*":
-        out = Poly.const(1)
-        for a in args:
-            out = out * _parse_poly(a)
-        return out
-    if head == "-":
-        if len(args) == 1:
-            return -_parse_poly(args[0])
-        out = _parse_poly(args[0])
-        for a in args[1:]:
-            out = out - _parse_poly(a)
-        return out
-    if head == "/":
-        return Poly.const(Fraction(int(args[0]), int(args[1])))
-    raise LinkageError(f"cannot parse polynomial {expr!r}")
+def _literal_value(expr) -> Fraction | int:
+    if isinstance(expr, int):
+        return expr
+    head, *args = expr if isinstance(expr, tuple) and expr else (None,)
+    if head == "-" and len(args) == 1:
+        return -_literal_value(args[0])
+    if head == "/" and len(args) == 2 and args[1] == 0:
+        raise LinkageError(f"zero denominator in {expr!r}")
+    if head == "/" and len(args) == 2 and all(type(a) is int for a in args):
+        return Fraction(*args)
+    raise LinkageError(f"cannot parse literal {expr!r}")
 
 
-def _parse_node(expr):
-    if expr == "true":
-        return And()
-    if expr == "false":
-        return Or()
-    head = expr[0]
-    if head in ("=", "<=", ">=", "<", ">"):
-        poly = _parse_poly(expr[1]) - _parse_poly(expr[2])
+def _poly_data(expr) -> dict[Monomial, Fraction]:
+    plus = isinstance(expr, tuple) and len(expr) > 1 and expr[0] == "+"
+    data: dict[Monomial, Fraction] = {}
+    for t in expr[1:] if plus else (expr,):
+        if isinstance(t, tuple) and len(t) > 2 and t[0] == "*":
+            m, c = tuple(sorted(map(_symbol_name, t[2:]))), _literal_value(t[1])
+        elif isinstance(t, str):
+            m, c = (_symbol_name(t),), 1
+        else:
+            m, c = (), _literal_value(t)
+        data[m] = data.get(m, 0) + c
+    return data
+
+
+def _parse_node(expr, polys: dict[object, Poly]):
+    if expr == "true" or expr == "false":
+        return And() if expr == "true" else Or()
+    head, *args = expr if isinstance(expr, tuple) and expr else (None,)
+    if head in _SIGNS_OK and len(args) == 2 and args[1] == 0:
+        poly = polys.get(args[0])
+        if poly is None:
+            poly = polys[args[0]] = Poly._norm(_poly_data(args[0]))
         return Atom(head, poly)
-    if head == "and":
-        return And(*(_parse_node(a) for a in expr[1:]))
-    if head == "or":
-        return Or(*(_parse_node(a) for a in expr[1:]))
-    if head == "not":
-        return Not(_parse_node(expr[1]))
+    if head == "and" or head == "or":
+        items = (_parse_node(a, polys) for a in args)
+        return And(*items) if head == "and" else Or(*items)
+    if head == "not" and len(args) == 1:
+        return Not(_parse_node(args[0], polys))
     raise LinkageError(f"cannot parse node {expr!r}")
 
 
 def parse_constraints(text: str) -> ConstraintSystem:
-    """Read back a serialized system; inverse of serialize on its output."""
-    toks, families = _tokenize(text)
+    """Read back a serialized system; inverse of serialize on its output.
+
+    Atoms are (op polynomial 0), polynomials 0, one term or (+ term...),
+    terms a literal, a symbol or (* literal symbol...), and literals an
+    int, (- literal) or (/ int int); anything else raises LinkageError.
+    Atoms with the same polynomial text share one Poly object.
+    """
     variables: list[str] = []
     asserts: list[TaggedAssert] = []
-    pos = 0
-    while pos < len(toks):
-        start = pos
-        expr, pos = _read_sexp(toks, pos)
-        if not isinstance(expr, list) or not expr:
-            continue
-        if expr[0] == "declare-const":
-            variables.append(expr[1])
-        elif expr[0] == "assert":
-            fam = families.get(start, "")
-            asserts.append(TaggedAssert(fam, _parse_node(expr[1])))
+    polys: dict[object, Poly] = {}
+    for family, expr in _read(text):
+        head = expr[0] if isinstance(expr, tuple) and expr else None
+        if head == "declare-const" and len(expr) == 3:
+            variables.append(_symbol_name(expr[1]))
+        elif head == "assert" and len(expr) == 2:
+            asserts.append(TaggedAssert(family, _parse_node(expr[1], polys)))
+        elif head in ("declare-const", "assert"):
+            raise LinkageError(f"cannot parse {expr!r}")
     return ConstraintSystem(tuple(variables), tuple(asserts))

@@ -18,6 +18,7 @@ from .geometry import Point
 from .linkage import Configuration, Linkage
 from .perturb import perturb
 
+_WIDTH = 640  # pixels; the height follows the drawing's aspect ratio
 _BAR = "#1f2937"
 _NODE = "#b91c1c"
 _LABEL = "#6b7280"
@@ -94,7 +95,6 @@ def render_svg(
     annotation: AnnotationMatrix | None = None,
     display_delta: Fraction = Fraction(0),
     labels: bool = True,
-    width: int = 640,
 ) -> str:
     """Draw a configuration as a standalone SVG string.
 
@@ -140,12 +140,12 @@ def render_svg(
 
     out = []
     m = canvas.margin
-    h_px = width * (canvas.maxy - canvas.miny + 2 * m) / (
+    h_px = _WIDTH * (canvas.maxy - canvas.miny + 2 * m) / (
         canvas.maxx - canvas.minx + 2 * m
     )
     out.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{canvas.view_box()}" '
-        f'width="{width}" height="{_fmt(h_px)}">'
+        f'width="{_WIDTH}" height="{_fmt(h_px)}">'
     )
 
     if display_delta > 0:

@@ -556,27 +556,71 @@ def random_sa_instance(rng: random.Random):
     return L, P, eps
 
 
+# Generic polynomial arithmetic on Poly. The library builds every Poly
+# straight from a monomial -> coefficient dict; these are for the
+# reference emitter and for tests that write polynomials by hand.
+
+
+def poly_const(value):
+    return Poly._norm({(): Fraction(value)})
+
+
+def poly_var(name):
+    return Poly._norm({(name,): Fraction(1)})
+
+
+def _poly_data(p):
+    return dict(p.terms)
+
+
+def poly_add(p, q):
+    data = _poly_data(p)
+    for m, c in q.terms:
+        data[m] = data.get(m, Fraction(0)) + c
+    return Poly._norm(data)
+
+
+def poly_sub(p, q):
+    return poly_add(p, poly_neg(q))
+
+
+def poly_neg(p):
+    return Poly(tuple((m, -c) for m, c in p.terms))
+
+
+def poly_mul(p, q):
+    data = {}
+    for m1, c1 in p.terms:
+        for m2, c2 in q.terms:
+            m = tuple(sorted(m1 + m2))
+            data[m] = data.get(m, Fraction(0)) + c1 * c2
+    return Poly._norm(data)
+
+
 # Reference emitter: the constraint builders written with generic Poly
 # arithmetic and a fresh breadth-first search per endpoint pair. The
 # library's closed-form, memoised emitter must serialize byte-identically.
 
 
 def _ref_xy(vertex):
-    return Poly.var(f"x_{vertex}"), Poly.var(f"y_{vertex}")
+    return poly_var(f"x_{vertex}"), poly_var(f"y_{vertex}")
 
 
 def _ref_sq_poly(tail, head):
     xt, yt = _ref_xy(tail)
     xh, yh = _ref_xy(head)
-    dx, dy = xt - xh, yt - yh
-    return dx * dx + dy * dy
+    dx, dy = poly_sub(xt, xh), poly_sub(yt, yh)
+    return poly_add(poly_mul(dx, dx), poly_mul(dy, dy))
 
 
 def _ref_orient_poly(a, b, c):
     xa, ya = _ref_xy(a)
     xb, yb = _ref_xy(b)
     xc, yc = _ref_xy(c)
-    return (xb - xa) * (yc - ya) - (yb - ya) * (xc - xa)
+    return poly_sub(
+        poly_mul(poly_sub(xb, xa), poly_sub(yc, ya)),
+        poly_mul(poly_sub(yb, ya), poly_sub(xc, xa)),
+    )
 
 
 def _ref_dot_poly(a, b, c, d):
@@ -585,7 +629,10 @@ def _ref_dot_poly(a, b, c, d):
     xb, yb = _ref_xy(b)
     xc, yc = _ref_xy(c)
     xd, yd = _ref_xy(d)
-    return (xb - xa) * (xd - xc) + (yb - ya) * (yd - yc)
+    return poly_add(
+        poly_mul(poly_sub(xb, xa), poly_sub(xd, xc)),
+        poly_mul(poly_sub(yb, ya), poly_sub(yd, yc)),
+    )
 
 
 def _ref_variables(linkage):
@@ -602,13 +649,15 @@ def reference_emit_conf(linkage, epsilon):
     for e in linkage.edges:
         sq = _ref_sq_poly(e.tail, e.head)
         if eps == 0:
-            node = Atom("=", sq - Poly.const(e.rest_length**2))
+            node = Atom("=", poly_sub(sq, poly_const(e.rest_length**2)))
             asserts.append(TaggedAssert(f"length:{e.id}", node))
             continue
-        upper = Atom("<=", sq - Poly.const((e.rest_length + eps) ** 2))
+        hi = poly_const((e.rest_length + eps) ** 2)
+        upper = Atom("<=", poly_sub(sq, hi))
         asserts.append(TaggedAssert(f"length-upper:{e.id}", upper))
         if e.rest_length >= eps:
-            lower = Atom(">=", sq - Poly.const((e.rest_length - eps) ** 2))
+            lo = poly_const((e.rest_length - eps) ** 2)
+            lower = Atom(">=", poly_sub(sq, lo))
             asserts.append(TaggedAssert(f"length-lower:{e.id}", lower))
     return ConstraintSystem(_ref_variables(linkage), tuple(asserts))
 
@@ -693,7 +742,12 @@ def reference_emit_nconf(linkage, epsilon):
                 And(
                     Atom("=", _ref_sq_poly(p, q)),
                     Atom("=", _ref_sq_poly(r, s)),
-                    Not(And(Atom("=", xp - xr), Atom("=", yp - yr))),
+                    Not(
+                        And(
+                            Atom("=", poly_sub(xp, xr)),
+                            Atom("=", poly_sub(yp, yr)),
+                        )
+                    ),
                 )
             )
             for a, other_i in ((p, q), (q, p)):
@@ -702,13 +756,13 @@ def reference_emit_nconf(linkage, epsilon):
                     if path is None:
                         continue
                     if path:
-                        psum = Poly.const(0)
+                        psum = poly_const(0)
                         for eid in path:
                             pe = by_id[eid]
-                            psum = psum + _ref_sq_poly(pe.tail, pe.head)
+                            psum = poly_add(psum, _ref_sq_poly(pe.tail, pe.head))
                         collapsed = Atom("=", psum)
                     else:
-                        collapsed = Atom("=", Poly.const(0))
+                        collapsed = Atom("=", poly_const(0))
                     contact_ok = Or(
                         And(
                             Not(_ref_on_closed_segment_node(other_i, r, s)),
@@ -737,7 +791,12 @@ def reference_emit_nconf(linkage, epsilon):
             asserts.append(
                 TaggedAssert(
                     f"apart-vertex:{w}:{v}",
-                    Not(And(Atom("=", xw - xv), Atom("=", yw - yv))),
+                    Not(
+                        And(
+                            Atom("=", poly_sub(xw, xv)),
+                            Atom("=", poly_sub(yw, yv)),
+                        )
+                    ),
                 )
             )
         for e in edges:

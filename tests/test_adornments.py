@@ -15,10 +15,9 @@ from linkfold.adornments import (
     triangulate,
     validate_adornment,
     _point_in_polygon,
-    _shoelace2,
 )
 from linkfold.errors import AdornmentError
-from linkfold.geometry import orient
+from linkfold.geometry import orient, shoelace2
 from linkfold.linkage import is_nontouching
 
 ISO = Adornment(((0, 0), (2, 0), (1, 1)), (0, 1))
@@ -146,7 +145,7 @@ def test_triangulate_area_oracle():
         shapes.append(shape)
     for shape in shapes:
         tris = triangulate(shape)
-        assert sum(orient(a, b, c) for a, b, c in tris) == _shoelace2(
+        assert sum(orient(a, b, c) for a, b, c in tris) == shoelace2(
             shape.boundary
         )
 
@@ -233,17 +232,22 @@ def test_adorned_chain_errors():
     gap = Adornment(((3, 0), (5, 0), (4, 1)), (0, 1))
     with pytest.raises(AdornmentError):
         adorned_chain_to_linkage(AdornedChain((a, gap)))
-    # float square roots of huge squared lengths miss by more than 1
-    for s in (3 * 10**16, 10**20):
+    # irrational rest lengths are exact integer-root bounds at any size,
+    # past float precision (3*10^16, 10^20) and float range (10^400)
+    for s in (3 * 10**16, 10**20, 10**400):
         tri = Adornment(((0, 0), (s, 0), (0, s)), (0, 1))
-        with pytest.raises(AdornmentError, match="could not certify"):
-            adorned_chain_to_linkage(AdornedChain((tri,)))
+        L, C = adorned_chain_to_linkage(AdornedChain((tri,)))
+        assert C.epsilon == F(1, 10**10)
+        hyp = next(e.rest_length for e in L.edges if e.rest_length > s)
+        assert 0 < s * s * 2 - hyp * hyp
+        assert (hyp + F(1, 10**12)) ** 2 > s * s * 2
 
 
 def test_adorned_chain_slack_matches_reference():
-    for s, eps in ((10**14, F(65536, 9765625)), (10**16, F(8388608, 9765625))):
+    for s in (10**14, 10**16):
         tri = Adornment(((0, 0), (s, 0), (0, s)), (0, 1))
-        assert adorned_chain_to_linkage(AdornedChain((tri,)))[1].epsilon == eps
+        eps = adorned_chain_to_linkage(AdornedChain((tri,)))[1].epsilon
+        assert eps == F(1, 10**10)
     rng = random.Random(77)
     for _ in range(20):
         L, C = adorned_chain_to_linkage(random_adorned_chain(rng, 3))

@@ -10,11 +10,17 @@ from helpers import (
     big_eps,
     mk_linkage,
     nontouch_oracle,
+    poly_add,
+    poly_const,
+    poly_mul,
+    poly_sub,
+    poly_var,
     random_linkage,
     random_sa_instance,
     random_zero_linkage,
     reference_emit_conf,
     reference_emit_nconf,
+    straight_chain,
 )
 from linkfold.errors import LinkageError
 from linkfold.linkage import (
@@ -23,6 +29,7 @@ from linkfold.linkage import (
     is_nontouching,
 )
 from linkfold.semialgebra import (
+    MAX_NESTING,
     And,
     Atom,
     ConstraintSystem,
@@ -221,6 +228,101 @@ def test_serialize_rejects_line_break_families():
     assert parse_constraints(serialize(S)) == S
 
 
+def _atoms(node):
+    if isinstance(node, Atom):
+        yield node
+    elif isinstance(node, Not):
+        yield from _atoms(node.item)
+    else:
+        for k in node.items:
+            yield from _atoms(k)
+
+
+def _polys(system):
+    return [a.poly for ta in system.asserts for a in _atoms(ta.node)]
+
+
+def test_parse_shares_one_poly_per_text():
+    rng = random.Random(97)
+    for _ in range(20):
+        if rng.random() < 0.5:
+            L, _ = random_linkage(rng, 2, 5)
+        else:
+            L, _ = random_zero_linkage(rng)
+        eps = rng.choice([F(0), F(1, 10)])
+        for S in (emit_conf(L, eps), emit_nconf(L, eps)):
+            polys = _polys(parse_constraints(serialize(S)))
+            # equal polynomials have equal texts, so one object per value
+            assert len({id(p) for p in polys}) == len(set(polys))
+            assert set(polys) == set(_polys(S))
+
+
+def test_parse_builds_each_poly_text_once(monkeypatch):
+    L = straight_chain(*[1] * 16)[0]
+    S = emit_nconf(L, F(1, 10))
+    text = serialize(S)
+    calls = [0]
+    norm = Poly._norm
+
+    def counted(data):
+        calls[0] += 1
+        return norm(data)
+
+    monkeypatch.setattr(Poly, "_norm", staticmethod(counted))
+    assert parse_constraints(text) == S
+    texts = len(set(_polys(S)))
+    assert texts < len(_polys(S))
+    assert calls[0] == texts
+
+
+def test_poly_has_no_arithmetic():
+    for name in ("__add__", "__sub__", "__neg__", "__mul__", "const", "var"):
+        assert not hasattr(Poly, name), name
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(assert (> x 0)",
+        "(assert)",
+        "(assert (> x))",
+        "(assert (> (/ 1) 0))",
+        "(declare-const)",
+        "(assert (> (/ 1 0) 0))",
+        "(assert " + "(not " * 5000 + "true" + ")" * 5001,
+        "(assert (> (* (+ x 1) y) 0))",
+        "(assert (> " + "9" * 5000 + " 0))",
+        ")",
+        "(declare-const |x Real)",
+    ],
+    ids=[
+        "truncated",
+        "empty-assert",
+        "atom-arity",
+        "ratio-arity",
+        "empty-declare",
+        "zero-denominator",
+        "deep-nesting",
+        "nested-product",
+        "long-integer",
+        "stray-close",
+        "open-quote",
+    ],
+)
+def test_parse_malformed_raises_linkage_error(text):
+    with pytest.raises(LinkageError):
+        parse_constraints(text)
+
+
+def test_parse_nesting_limit():
+    node = "true"
+    for _ in range(MAX_NESTING - 1):
+        node = f"(not {node})"
+    assert len(parse_constraints(f"(assert {node})").asserts) == 1
+    with pytest.raises(LinkageError):
+        parse_constraints(f"(assert (not {node}))")
+
+
 def test_emitter_matches_reference_random():
     rng = random.Random(2718)
     kinds = {"zero": 0, "shared": 0, "isolated": 0, "square": 0}
@@ -255,8 +357,9 @@ def test_emitter_matches_reference_random():
 
 
 def test_eval_shared_and_parsed_polys_agree():
-    # emitted systems share Poly objects between atoms; parsed ones
-    # never do, so both sides of the per-object memo are exercised
+    # emitted systems share Poly objects through the emitter's caches,
+    # parsed ones through the reader's memo by polynomial text; eval's
+    # per-object memo must give the same verdicts on both
     rng = random.Random(4242)
     for _ in range(60):
         L, P, eps = random_sa_instance(rng)
@@ -267,13 +370,21 @@ def test_eval_shared_and_parsed_polys_agree():
 
 
 def test_eval_integer_scaling_mixed_degrees():
-    x, y, z = Poly.var("x"), Poly.var("y"), Poly.var("z")
-    half = Poly.const(F(1, 2))
+    x, y, z = poly_var("x"), poly_var("y"), poly_var("z")
+    half = poly_const(F(1, 2))
     # x^3 - x/4 + y*z - 1/3 vanishes at x = 1/2, y = 2/3, z = 1/2;
     # dropping the D^(g - deg m) weights would not
-    cubic = x * x * x - Poly.const(F(1, 4)) * x + y * z - Poly.const(F(1, 3))
+    cubic = poly_sub(
+        poly_add(
+            poly_sub(
+                poly_mul(poly_mul(x, x), x), poly_mul(poly_const(F(1, 4)), x)
+            ),
+            poly_mul(y, z),
+        ),
+        poly_const(F(1, 3)),
+    )
     assert max(len(m) for m, _ in cubic.terms) == 3
-    shared = y * z - half
+    shared = poly_sub(poly_mul(y, z), half)
     S = ConstraintSystem(
         ("x", "y", "z"),
         (
@@ -282,7 +393,7 @@ def test_eval_integer_scaling_mixed_degrees():
             TaggedAssert("shared-lt", Atom("<", shared)),
             TaggedAssert("shared-ge", Atom(">=", shared)),
             TaggedAssert("either", Or(And(Atom(">", x), Atom("<=", shared)))),
-            TaggedAssert("const", Atom(">", Poly.const(F(-1, 7)))),
+            TaggedAssert("const", Atom(">", poly_const(F(-1, 7)))),
         ),
     )
     asg = {"x": F(1, 2), "y": F(2, 3), "z": F(1, 2)}
