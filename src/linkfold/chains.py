@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import ChainError
 from .geometry import orient, shoelace2, sign
-from .linkage import Configuration, Linkage, certify_epsilon
+from .linkage import Configuration, DisjointSets, Linkage, certify_epsilon
 
 _BISECT_STEPS = 200
 
@@ -30,23 +30,9 @@ class ChainShape:
 def classify_chain(linkage: Linkage) -> ChainShape:
     """Detect open/closed chain structure by degrees and connectivity."""
     nv, ne = len(linkage.vertices), len(linkage.edges)
-    if nv == 0:
+    if len(DisjointSets._partition(linkage.vertices, linkage.edges).classes) != 1:
         return ChainShape("other", (), ())
-    adj: dict[str, list[tuple[int, str]]] = {v: [] for v in linkage.vertices}
-    for i, e in enumerate(linkage.edges):
-        adj[e.tail].append((i, e.head))
-        adj[e.head].append((i, e.tail))
-    seen = {linkage.vertices[0]}
-    stack = [linkage.vertices[0]]
-    while stack:
-        u = stack.pop()
-        for _, w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != nv:
-        return ChainShape("other", (), ())
-    degs = {v: len(adj[v]) for v in linkage.vertices}
+    degs = {v: linkage.degree(v) for v in linkage.vertices}
 
     def walk(start: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
         verts = [start]
@@ -54,14 +40,13 @@ def classify_chain(linkage: Linkage) -> ChainShape:
         used: set[int] = set()
         cur = start
         while True:
-            options = [
-                (i, w) for i, w in adj[cur] if i not in used
-            ]
-            if not options:
+            i = next((i for i in linkage.incident_slots(cur) if i not in used), None)
+            if i is None:
                 break
-            i, w = min(options)
             used.add(i)
-            eids.append(linkage.edges[i].id)
+            e = linkage.edges[i]
+            w = e.head if e.tail == cur else e.tail
+            eids.append(e.id)
             if w == start and len(used) == ne:
                 break
             verts.append(w)

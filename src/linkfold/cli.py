@@ -10,6 +10,7 @@ error, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -356,6 +357,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(64)
 
 
+def _count(text: str) -> int:
+    """argparse type of --sweep and --steps: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="linkfold", description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
@@ -381,7 +394,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--delta", required=True, help="perturbation radius (rational)")
     p.add_argument(
         "--sweep",
-        type=int,
+        type=_count,
         default=0,
         metavar="K",
         help="probe K shrinking radii instead of writing a document",
@@ -403,7 +416,7 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--t", default="1/2", help="single parameter value")
     p.add_argument(
-        "--steps", type=int, default=None, help="emit steps+1 evenly spaced frames"
+        "--steps", type=_count, default=None, help="emit steps+1 evenly spaced frames"
     )
     p.add_argument("--out", help="write the frames document here")
 

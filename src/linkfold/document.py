@@ -76,6 +76,11 @@ def _rat(node, path: str) -> Fraction:
         raise DocumentError(str(exc), path) from None
 
 
+def _id(node, path: str) -> str:
+    _expect(isinstance(node, str), "ids must be strings", path)
+    return node
+
+
 def _check_keys(node: dict, allowed: set[str], path: str, strict: bool) -> None:
     if not strict:
         return
@@ -150,8 +155,11 @@ def parse_linkage_file(text: str, strict: bool = False) -> Document:
                 _expect(fieldname in enode, f"edge missing {fieldname}", path)
             length = _rat(enode["length"], f"{path}.length")
             _expect(length >= 0, "length must be nonnegative", f"{path}.length")
+            eid, tail, head = (
+                _id(enode[f], f"{path}.{f}") for f in ("id", "tail", "head")
+            )
             try:
-                edges.append(Edge(enode["id"], enode["tail"], enode["head"], length))
+                edges.append(Edge(eid, tail, head, length))
             except LinkageError as exc:
                 raise DocumentError(str(exc), path) from None
         try:
@@ -171,6 +179,7 @@ def parse_linkage_file(text: str, strict: bool = False) -> Document:
         _check_keys(anode, {"first", "second", "value", "layer"}, path, strict)
         for fieldname in ("first", "second"):
             _expect(fieldname in anode, f"annotation missing {fieldname}", path)
+            _id(anode[fieldname], f"{path}.{fieldname}")
         has_value, has_layer = "value" in anode, "layer" in anode
         _expect(
             has_value != has_layer,
@@ -215,7 +224,7 @@ def parse_linkage_file(text: str, strict: bool = False) -> Document:
         _expect(
             isinstance(base, list)
             and len(base) == 2
-            and all(isinstance(v, int) for v in base),
+            and all(type(v) is int for v in base),
             "base must be a pair of vertex indices",
             f"{path}.base",
         )
@@ -240,7 +249,11 @@ def parse_linkage_file(text: str, strict: bool = False) -> Document:
         _expect(
             isinstance(xedges, list), "extension_edges must be a list", f"{path}.extension_edges"
         )
-        extension_map = ExtensionMap(dict(vmap), dict(emap), tuple(xedges))
+        extension_map = ExtensionMap(
+            {k: _id(v, f"{path}.vertices") for k, v in vmap.items()},
+            {k: _id(v, f"{path}.edges") for k, v in emap.items()},
+            tuple(_id(x, f"{path}.extension_edges[{m}]") for m, x in enumerate(xedges)),
+        )
 
     frames = []
     for k, fnode in enumerate(root.get("frames", [])):
@@ -288,16 +301,16 @@ def resolve_annotations(
     segs = tuple(configuration.segment(e) for e in linkage.edges)
     matrix = AnnotationMatrix.from_segments(segs)
     values = matrix.overrides  # filled in place below
-    index = {e.id: i for i, e in enumerate(linkage.edges)}
     explicit: set[tuple[int, int]] = set()
     fills: list[tuple[int, int, SqrtRational]] = []
     for k, entry in enumerate(sparse):
         path = f"$.annotations[{k}]"
-        if entry.first not in index or entry.second not in index:
+        try:
+            i, j = linkage.edge_index(entry.first), linkage.edge_index(entry.second)
+        except LinkageError:
             raise DocumentError(
                 f"annotation names unknown edge {entry.first!r}/{entry.second!r}", path
-            )
-        i, j = index[entry.first], index[entry.second]
+            ) from None
         if i == j:
             raise DocumentError("annotation on the diagonal", path)
         explicit.add((i, j))

@@ -80,7 +80,10 @@ class Edge:
 
 @dataclass(frozen=True)
 class Linkage:
-    """Multigraph with rest lengths; parallel edges allowed, self-loops not."""
+    """Multigraph with rest lengths; parallel edges allowed, self-loops not.
+
+    Edge ids and each vertex's incident edge slots are indexed once here.
+    """
 
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
@@ -88,32 +91,32 @@ class Linkage:
     def __post_init__(self) -> None:
         object.__setattr__(self, "vertices", tuple(self.vertices))
         object.__setattr__(self, "edges", tuple(self.edges))
-        if len(set(self.vertices)) != len(self.vertices):
+        slots: dict[str, list[int]] = {v: [] for v in self.vertices}
+        if len(slots) != len(self.vertices):
             raise LinkageError("duplicate vertex ids")
-        ids = [e.id for e in self.edges]
-        if len(set(ids)) != len(ids):
+        index = {e.id: i for i, e in enumerate(self.edges)}
+        if len(index) != len(self.edges):
             raise LinkageError("duplicate edge ids")
-        vset = set(self.vertices)
-        for e in self.edges:
-            if e.tail not in vset or e.head not in vset:
+        for i, e in enumerate(self.edges):
+            if e.tail not in slots or e.head not in slots:
                 raise LinkageError(f"edge {e.id}: dangling endpoint")
+            slots[e.tail].append(i)
+            slots[e.head].append(i)
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_slots", slots)
 
     def edge_index(self, edge_id: str) -> int:
-        for i, e in enumerate(self.edges):
-            if e.id == edge_id:
-                return i
-        raise LinkageError(f"no edge {edge_id!r}")
+        try:
+            return self._index[edge_id]
+        except (KeyError, TypeError):
+            raise LinkageError(f"no edge {edge_id!r}") from None
 
     def incident_slots(self, vertex: str) -> list[int]:
         """Indices of edges incident to vertex, in edge order."""
-        return [
-            i
-            for i, e in enumerate(self.edges)
-            if e.tail == vertex or e.head == vertex
-        ]
+        return list(self._slots.get(vertex, ()))
 
     def degree(self, vertex: str) -> int:
-        return len(self.incident_slots(vertex))
+        return len(self._slots.get(vertex, ()))
 
 
 def configuration_membership(
@@ -205,11 +208,14 @@ class Configuration:
         return self.placement[edge.tail], self.placement[edge.head]
 
     def is_exact(self) -> bool:
-        """True iff every realized length equals its rest length exactly."""
-        for e in self.linkage.edges:
-            if sqdist(*self.segment(e)) != e.rest_length**2:
-                return False
-        return True
+        """True iff every realized length equals its rest length exactly.
+
+        That is membership at epsilon 0, which construction has already
+        checked when the configuration's own epsilon is 0.
+        """
+        return self.epsilon == 0 or configuration_membership(
+            self.linkage, self.placement, 0
+        )
 
 
 def require_conf0(configuration: Configuration) -> None:
@@ -352,8 +358,7 @@ def extend_split(
 
     for v in linkage.vertices:
         slots = linkage.incident_slots(v)
-        count = max(len(slots), 1)
-        for k in range(count):
+        for k in range(max(len(slots), 1)):
             fid = f"{v}.{k}"
             frag_ids[(v, k)] = fid
             new_vertices.append(fid)

@@ -161,9 +161,7 @@ def _rationalized_snapshot(
     max_d2 = Fraction(0)
     for v in linkage.vertices:
         p = configuration.placement[v]
-        slots = linkage.incident_slots(v)
-        count = max(len(slots), 1)
-        for k in range(count):
+        for k in range(max(linkage.degree(v), 1)):
             fx, fy = disp.get((v, k), (0.0, 0.0))
             dx = Fraction(int(fx * scale), scale)
             dy = Fraction(int(fy * scale), scale)
@@ -211,25 +209,14 @@ class _Prepared:
     overlaps: dict[tuple[int, int], SqrtRational]
 
 
-def _check_range(delta: Fraction, bound: Fraction) -> None:
-    if not (0 < delta < bound):
-        raise PerturbationError(
-            f"delta {delta} outside the admissible range (0, {bound})"
-        )
-
-
 def _prepare(
-    linkage: Linkage,
-    configuration: Configuration,
-    annotation: AnnotationMatrix,
-    delta: Fraction,
+    linkage: Linkage, configuration: Configuration, annotation: AnnotationMatrix
 ) -> _Prepared:
-    """Validate once, check the first radius, and build the layering."""
+    """Validate once, bound the radius, and build the layering."""
     verdict = validate(linkage, configuration, annotation)
     if not verdict.ok:
         raise ValidationFailure("configuration fails validation", verdict)
     bound = delta_bound(linkage, configuration)
-    _check_range(delta, bound)
 
     cors = corridors(linkage, configuration)
     orders = tuple(
@@ -255,7 +242,10 @@ def _attempt(
     prep: _Prepared, delta: Fraction, max_halvings: int = MAX_HALVINGS
 ) -> PerturbationResult:
     """Try delta, then up to max_halvings halvings of it, on a prepared input."""
-    _check_range(delta, prep.bound)
+    if not (0 < delta < prep.bound):
+        raise PerturbationError(
+            f"delta {delta} outside the admissible range (0, {prep.bound})"
+        )
     linkage, configuration, extended = prep.linkage, prep.configuration, prep.extended
     nedges = max(len(linkage.edges), 1)
     offending: tuple | None = None
@@ -316,9 +306,8 @@ def perturb(
     fragment containment, membership, nontouching, and preserved
     annotation signs on overlapping pairs.
     """
-    delta = Fraction(delta)
-    prep = _prepare(linkage, configuration, annotation, delta)
-    return _attempt(prep, delta, max_halvings)
+    prep = _prepare(linkage, configuration, annotation)
+    return _attempt(prep, Fraction(delta), max_halvings)
 
 
 @dataclass(frozen=True)
@@ -351,7 +340,7 @@ def convergence_probe(
             raise PerturbationError("delta sequence must be strictly decreasing")
     if not ds:
         return ProbeReport(delta_bound(linkage, configuration), (), True)
-    prep = _prepare(linkage, configuration, annotation, ds[0])
+    prep = _prepare(linkage, configuration, annotation)
     entries = []
     for d in ds:
         res = _attempt(prep, d)

@@ -249,7 +249,6 @@ def emit_nconf(linkage: Linkage, epsilon) -> ConstraintSystem:
     dot = functools.cache(_dot_poly)
     asserts = _band_asserts(linkage, eps, sq)
     edges = linkage.edges
-    by_id = {e.id: e for e in edges}
     paths = _ShortPaths(linkage, eps)
 
     def on_closed_segment(w: str, r: str, s: str) -> And:
@@ -263,7 +262,7 @@ def emit_nconf(linkage: Linkage, epsilon) -> ConstraintSystem:
             return None
         data: dict[Monomial, int] = {}
         for eid in path:
-            pe = by_id[eid]
+            pe = edges[linkage.edge_index(eid)]
             for m, c in sq(pe.tail, pe.head).terms:
                 data[m] = data.get(m, 0) + c
         return Poly._norm(data)
@@ -326,12 +325,8 @@ def emit_nconf(linkage: Linkage, epsilon) -> ConstraintSystem:
             )
 
     # isolated vertices carry no edge constraints; keep them off everything
-    attached = set()
-    for e in edges:
-        attached.add(e.tail)
-        attached.add(e.head)
     for w in linkage.vertices:
-        if w in attached:
+        if linkage.degree(w):
             continue
         for v in linkage.vertices:
             if v == w:

@@ -12,11 +12,10 @@ from fractions import Fraction
 from xml.sax.saxutils import escape
 
 from .annotations import AnnotationMatrix, annotate
-from .corridors import delta_bound
 from .errors import ValidationFailure
 from .geometry import Point
 from .linkage import Configuration, Linkage
-from .perturb import perturb
+from .perturb import _attempt, _prepare
 
 _WIDTH = 640  # pixels; the height follows the drawing's aspect ratio
 _BAR = "#1f2937"
@@ -34,10 +33,6 @@ def _trails(linkage: Linkage) -> list[list[str]]:
     Returns vertex id paths; each edge appears in exactly one trail.
     """
     unused = set(range(len(linkage.edges)))
-    incident: dict[str, list[int]] = {v: [] for v in linkage.vertices}
-    for k, e in enumerate(linkage.edges):
-        incident[e.tail].append(k)
-        incident[e.head].append(k)
     trails = []
     for start_k, start_e in enumerate(linkage.edges):
         if start_k not in unused:
@@ -48,8 +43,9 @@ def _trails(linkage: Linkage) -> list[list[str]]:
         for endpoint in (1, 0):
             while True:
                 v = path[-1] if endpoint == 1 else path[0]
-                options = [k for k in incident[v] if k in unused]
-                if len(incident[v]) != 2 or not options:
+                slots = linkage.incident_slots(v)
+                options = [k for k in slots if k in unused]
+                if len(slots) != 2 or not options:
                     break
                 k = options[0]
                 e = linkage.edges[k]
@@ -108,10 +104,8 @@ def render_svg(
     if display_delta > 0:
         if annotation is None:
             annotation = annotate(linkage, configuration)
-        bound = delta_bound(linkage, configuration)
-        duse = min(Fraction(display_delta), bound / 2)
         try:
-            result = perturb(linkage, configuration, annotation, duse)
+            prep = _prepare(linkage, configuration, annotation)
         except ValidationFailure as exc:
             bad = [c.name for c in exc.report.checks if c.status == "fail"]
             raise ValidationFailure(
@@ -119,12 +113,13 @@ def render_svg(
                 + ", ".join(bad),
                 report=exc.report,
             ) from None
+        result = _attempt(prep, min(Fraction(display_delta), prep.bound / 2))
         geo = result.configuration
         ext = result.linkage
-        original_ids = {e.id for e in linkage.edges}
+        # extend_split keeps the original bars first, in order
         segments = [
-            (e.id, geo.point(e.tail), geo.point(e.head)) for e in ext.edges
-            if e.id in original_ids
+            (e.id, geo.point(e.tail), geo.point(e.head))
+            for e in ext.edges[: len(linkage.edges)]
         ]
         nodes = [geo.point(v) for v in ext.vertices]
         label_at = {v: geo.point(f"{v}.0") for v in linkage.vertices}

@@ -21,7 +21,6 @@ from .geometry import (
 )
 from .linkage import (
     Configuration,
-    DisjointSets,
     Linkage,
     merged_vertex_partition,
     require_conf0,
@@ -64,7 +63,6 @@ def magnified_views(
     views = []
     for p in locations:
         inbounds: list[Inbound] = []
-        pass_pairs: list[tuple[int, int]] = []
         for i, e in enumerate(linkage.edges):
             a, b = C.segment(e)
             if a == b:
@@ -78,30 +76,21 @@ def magnified_views(
             elif in_open_segment(p, a, b):
                 ut = primitive_direction(vsub(a, p))
                 uh = primitive_direction(vsub(b, p))
-                k = len(inbounds)
                 inbounds.append(Inbound(i, e.id, ut, +1, None, "pass"))
                 inbounds.append(Inbound(i, e.id, uh, -1, None, "pass"))
-                pass_pairs.append((k, k + 1))
 
-        ds = DisjointSets(range(len(inbounds)))
-        by_vertex_class: dict[int, int] = {}
-        for k, ib in enumerate(inbounds):
-            if ib.vertex is None:
-                continue
-            vc = part.class_of[ib.vertex]
-            if vc in by_vertex_class:
-                ds.union(by_vertex_class[vc], k)
-            else:
-                by_vertex_class[vc] = k
-        for a_idx, b_idx in pass_pairs:
-            ds.union(a_idx, b_idx)
-        renum: dict[int, int] = {}
-        class_of = []
-        for k in range(len(inbounds)):
-            root = ds.find(k)
-            if root not in renum:
-                renum[root] = len(renum)
-            class_of.append(renum[root])
+        # germs connect directly through one merged vertex or as the two
+        # halves of one passing bar; classes are numbered by first germ
+        number: dict[tuple, int] = {}
+        class_of = [
+            number.setdefault(
+                ("pass", ib.edge_index)
+                if ib.vertex is None
+                else ("vertex", part.class_of[ib.vertex]),
+                len(number),
+            )
+            for ib in inbounds
+        ]
 
         groups: dict[IntVec, list[int]] = {}
         for k, ib in enumerate(inbounds):
@@ -206,6 +195,10 @@ def check_well_ordered(
     Two germs sharing an entrance must carry mutually consistent nonzero
     annotation entries, and the induced comparison must be transitive.
     """
+
+    def fail(witness: tuple, detail: str) -> WellOrderResult:
+        return WellOrderResult(CheckReport("well-ordered", "fail", witness, detail), ())
+
     all_orders: list[tuple[int, ...]] = []
     for view in views:
         order: list[int] = []
@@ -219,25 +212,17 @@ def check_well_ordered(
                     va = annotation.value(ia.edge_index, ib.edge_index)
                     vb = annotation.value(ib.edge_index, ia.edge_index)
                     if va.is_zero or vb.is_zero:
-                        return WellOrderResult(
-                            CheckReport(
-                                "well-ordered",
-                                "fail",
-                                (view.location, ia.label(), ib.label()),
-                                "zero annotation between germs at one entrance",
-                            ),
-                            (),
+                        return fail(
+                            (view.location, ia.label(), ib.label()),
+                            "zero annotation between germs at one entrance",
                         )
                     if ia.dir_flag * va.sign() != -ib.dir_flag * vb.sign():
-                        return WellOrderResult(
-                            CheckReport(
-                                "well-ordered",
-                                "fail",
-                                (view.location, ia.label(), ib.label()),
-                                "annotation pair disagrees about the local order",
-                            ),
-                            (),
+                        return fail(
+                            (view.location, ia.label(), ib.label()),
+                            "annotation pair disagrees about the local order",
                         )
+            # each pair has one winner now, so the germs form a tournament,
+            # which is transitive iff its win counts all differ
             wins = {
                 k: sum(
                     1
@@ -246,24 +231,13 @@ def check_well_ordered(
                 )
                 for k in idxs
             }
-            ranked = sorted(idxs, key=lambda k: (-wins[k], k))
-            for a in range(len(ranked)):
-                for b in range(a + 1, len(ranked)):
-                    if not _beats(
-                        annotation, view.inbounds[ranked[a]], view.inbounds[ranked[b]]
-                    ):
-                        cyc = _find_cycle(annotation, view, idxs)
-                        return WellOrderResult(
-                            CheckReport(
-                                "well-ordered",
-                                "fail",
-                                (view.location,)
-                                + tuple(view.inbounds[k].label() for k in cyc),
-                                "three-way cycle in the entrance order",
-                            ),
-                            (),
-                        )
-            order.extend(ranked)
+            if len(set(wins.values())) != len(idxs):
+                cyc = _find_cycle(annotation, view, idxs)
+                return fail(
+                    (view.location,) + tuple(view.inbounds[k].label() for k in cyc),
+                    "three-way cycle in the entrance order",
+                )
+            order.extend(sorted(idxs, key=lambda k: -wins[k]))
         all_orders.append(tuple(order))
     return WellOrderResult(CheckReport("well-ordered", "pass"), tuple(all_orders))
 

@@ -30,6 +30,7 @@ from linkfold.geometry import (
     vsub,
 )
 from linkfold.document import SparseAnnotation, parse_linkage_file, resolve_annotations
+from linkfold.chains import ChainShape
 from linkfold.errors import ChainError
 from linkfold.linkage import (
     Configuration,
@@ -38,6 +39,7 @@ from linkfold.linkage import (
     Linkage,
     configuration_membership,
     is_nontouching,
+    merged_vertex_partition,
 )
 from linkfold.rationals import SqrtRational
 from linkfold.semialgebra import (
@@ -49,7 +51,7 @@ from linkfold.semialgebra import (
     Poly,
     TaggedAssert,
 )
-from linkfold.validator import CheckReport
+from linkfold.validator import CheckReport, WellOrderResult, _beats, _find_cycle
 
 F = Fraction
 DOCS_DIR = Path(__file__).parent / "data" / "docs"
@@ -853,6 +855,148 @@ def reference_check_well_annotated(linkage, configuration, annotation):
                         "entry differs from the signed overlap",
                     )
     return CheckReport("well-annotated", "pass")
+
+
+def reference_classify_chain(linkage):
+    """classify_chain by its own adjacency and depth-first search.
+
+    This is the body classify_chain had before Linkage indexed its own
+    incidence, kept as an oracle.
+    """
+    nv, ne = len(linkage.vertices), len(linkage.edges)
+    if nv == 0:
+        return ChainShape("other", (), ())
+    adj = {v: [] for v in linkage.vertices}
+    for i, e in enumerate(linkage.edges):
+        adj[e.tail].append((i, e.head))
+        adj[e.head].append((i, e.tail))
+    seen = {linkage.vertices[0]}
+    stack = [linkage.vertices[0]]
+    while stack:
+        u = stack.pop()
+        for _, w in adj[u]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    if len(seen) != nv:
+        return ChainShape("other", (), ())
+    degs = {v: len(adj[v]) for v in linkage.vertices}
+
+    def walk(start):
+        verts, eids, used, cur = [start], [], set(), start
+        while True:
+            options = [(i, w) for i, w in adj[cur] if i not in used]
+            if not options:
+                break
+            i, w = min(options)
+            used.add(i)
+            eids.append(linkage.edges[i].id)
+            if w == start and len(used) == ne:
+                break
+            verts.append(w)
+            cur = w
+        return tuple(verts), tuple(eids)
+
+    if ne == nv - 1:
+        tips = sorted(v for v, d in degs.items() if d == 1)
+        if len(tips) == 2 and all(d in (1, 2) for d in degs.values()):
+            verts, eids = walk(tips[0])
+            if len(eids) == ne:
+                return ChainShape("open", verts, eids)
+    if ne == nv and all(d == 2 for d in degs.values()):
+        verts, eids = walk(min(linkage.vertices))
+        if len(eids) == ne and len(verts) == nv:
+            return ChainShape("closed", verts, eids)
+    return ChainShape("other", (), ())
+
+
+def reference_germ_classes(linkage, view):
+    """A view's direct-connection classes by union-find, kept as an oracle.
+
+    Germs at one merged vertex are joined, and so are the two halves of
+    a bar passing through (the +1 half directly precedes its -1 half);
+    classes are numbered in order of their first germ.
+    """
+    part = merged_vertex_partition(linkage)
+    ds = DisjointSets(range(len(view.inbounds)))
+    by_vertex_class = {}
+    for k, ib in enumerate(view.inbounds):
+        if ib.vertex is None:
+            if ib.dir_flag > 0:
+                ds.union(k, k + 1)
+            continue
+        vc = part.class_of[ib.vertex]
+        if vc in by_vertex_class:
+            ds.union(by_vertex_class[vc], k)
+        else:
+            by_vertex_class[vc] = k
+    renum = {}
+    for k in range(len(view.inbounds)):
+        renum.setdefault(ds.find(k), len(renum))
+    return tuple(renum[ds.find(k)] for k in range(len(view.inbounds)))
+
+
+def reference_check_well_ordered(views, annotation):
+    """check_well_ordered verifying its ranked order pair by pair.
+
+    The O(k^2) verification of each entrance's ranking that the win
+    count test replaced, kept as an oracle.
+    """
+    all_orders = []
+    for view in views:
+        order = []
+        for _, idxs in view.entrances:
+            if len(idxs) == 1:
+                order.extend(idxs)
+                continue
+            for a in range(len(idxs)):
+                for b in range(a + 1, len(idxs)):
+                    ia, ib = view.inbounds[idxs[a]], view.inbounds[idxs[b]]
+                    va = annotation.value(ia.edge_index, ib.edge_index)
+                    vb = annotation.value(ib.edge_index, ia.edge_index)
+                    if va.is_zero or vb.is_zero:
+                        return WellOrderResult(
+                            CheckReport(
+                                "well-ordered",
+                                "fail",
+                                (view.location, ia.label(), ib.label()),
+                                "zero annotation between germs at one entrance",
+                            ),
+                            (),
+                        )
+                    if ia.dir_flag * va.sign() != -ib.dir_flag * vb.sign():
+                        return WellOrderResult(
+                            CheckReport(
+                                "well-ordered",
+                                "fail",
+                                (view.location, ia.label(), ib.label()),
+                                "annotation pair disagrees about the local order",
+                            ),
+                            (),
+                        )
+
+            def beats(k, m):
+                return _beats(annotation, view.inbounds[k], view.inbounds[m])
+
+            wins = {k: sum(1 for m in idxs if m != k and beats(k, m)) for k in idxs}
+            ranked = sorted(idxs, key=lambda k: (-wins[k], k))
+            for a in range(len(ranked)):
+                for b in range(a + 1, len(ranked)):
+                    if not beats(ranked[a], ranked[b]):
+                        cyc = _find_cycle(annotation, view, idxs)
+                        return WellOrderResult(
+                            CheckReport(
+                                "well-ordered",
+                                "fail",
+                                (view.location,)
+                                + tuple(view.inbounds[k].label() for k in cyc),
+                                "three-way cycle in the entrance order",
+                            ),
+                            (),
+                        )
+            order.extend(ranked)
+        all_orders.append(tuple(order))
+    return WellOrderResult(CheckReport("well-ordered", "pass"), tuple(all_orders))
 
 
 def count_calls(monkeypatch, module, names):

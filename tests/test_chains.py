@@ -12,6 +12,9 @@ from helpers import (
     mk_linkage,
     perturbed_closed_pair,
     random_closed_lengths,
+    random_linkage,
+    random_zero_linkage,
+    reference_classify_chain,
     straight_chain,
 )
 from linkfold.chains import (
@@ -22,7 +25,12 @@ from linkfold.chains import (
     turning_direction,
 )
 from linkfold.errors import ChainError
-from linkfold.linkage import check_epsilon_related, configuration_membership
+from linkfold.linkage import (
+    Edge,
+    Linkage,
+    check_epsilon_related,
+    configuration_membership,
+)
 
 
 def test_classify_chain_kinds():
@@ -50,6 +58,47 @@ def test_classify_chain_kinds():
     # doubled edge is a 2-cycle
     dbl = mk_linkage([("e0", "a", "b", 1), ("e1", "b", "a", 1)])
     assert classify_chain(dbl).kind == "closed"
+
+
+def _shuffled(rng, L):
+    """L with its vertices and edges in random order, edges maybe reversed."""
+    edges = [
+        Edge(e.id, e.head, e.tail, e.rest_length) if rng.random() < 0.5 else e
+        for e in L.edges
+    ]
+    rng.shuffle(edges)
+    vertices = list(L.vertices)
+    rng.shuffle(vertices)
+    return Linkage(tuple(vertices), tuple(edges))
+
+
+def test_classify_chain_matches_reference():
+    rng = random.Random(67)
+    cases = [
+        Linkage((), ()),
+        Linkage(("solo",), ()),
+        straight_chain(2)[0],
+        mk_linkage([("e0", "a", "b", 1), ("e1", "b", "a", 1)]),
+        mk_linkage([("e0", "a", "b", 1), ("e1", "b", "a", 1), ("e2", "a", "b", 2)]),
+        mk_linkage([("e0", "a", "b", 1), ("e1", "c", "d", 1)]),
+        mk_linkage([("e0", "a", "b", 1)], vertices=("a", "b", "lone")),
+        mk_linkage(
+            [("e0", "a", "b", 1), ("e1", "b", "c", 1), ("e2", "c", "a", 1)]
+            + [("e3", "d", "e", 1), ("e4", "e", "f", 1), ("e5", "f", "d", 1)]
+        ),
+    ]
+    for _ in range(60):
+        cases.append(random_linkage(rng)[0])
+        cases.append(random_zero_linkage(rng)[0])
+        n = rng.randint(1, 9)
+        cases.append(_shuffled(rng, straight_chain(*[1] * n)[0]))
+        cases.append(_shuffled(rng, closed_chain_linkage(*[1] * (n + 1))))
+    kinds = set()
+    for L in cases:
+        shape = classify_chain(L)
+        assert shape == reference_classify_chain(L), L
+        kinds.add(shape.kind)
+    assert kinds == {"open", "closed", "other"}
 
 
 def test_canonical_open_exact():

@@ -22,6 +22,7 @@ from helpers import (
     straight_chain,
 )
 from linkfold.adornments import Adornment
+import linkfold.cli as cli
 from linkfold.chains import canonical_closed
 from linkfold.cli import main
 from linkfold.document import SparseAnnotation, parse_linkage_file, write_document
@@ -102,6 +103,38 @@ def test_usage_errors(capsys):
     assert code == 64
 
 
+def test_count_flags_must_be_positive(capsys, tmp_path):
+    doc = valid_doubled_doc(tmp_path)
+    a = square_doc(tmp_path, 1, "sq1.json")
+    b = square_doc(tmp_path, F(11, 10), "sq2.json")
+    for argv in (
+        ("perturb", doc, "--delta", "1/10", "--sweep", "-2"),
+        ("perturb", doc, "--delta", "1/10", "--sweep", "0"),
+        ("perturb", doc, "--delta", "1/10", "--sweep", "two"),
+        ("interpolate", a, b, "--steps", "-3"),
+        ("interpolate", a, b, "--steps", "0"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 64 and out == ""
+        assert err.splitlines()[-1] == (
+            f"usage error: argument {argv[-2]}: "
+            f"expected a positive integer, got {argv[-1]!r}"
+        )
+    code, out, _ = run(capsys, "interpolate", a, b, "--steps", "1")
+    assert code == 0 and len(parse_linkage_file(out).frames) == 2
+
+
+def test_parser_built_once(capsys, tmp_path):
+    cli._build_parser.cache_clear()
+    doc = valid_doubled_doc(tmp_path)
+    assert run(capsys, "validate", doc)[0] == 0
+    code, _, err = run(capsys, "validate", doc, "--frob")
+    assert code == 64 and "usage error" in err
+    code, out, _ = run(capsys, "annotate", doc)
+    assert code == 0 and json.loads(out)
+    assert cli._build_parser.cache_info().misses == 1
+
+
 def test_validate_pass(capsys, tmp_path):
     doc = valid_doubled_doc(tmp_path)
     code, out, err = run(capsys, "validate", doc)
@@ -144,6 +177,17 @@ def test_input_errors(capsys, tmp_path):
     bare = write(tmp_path / "bare.json", write_document(linkage=L))
     code, _, err = run(capsys, "validate", bare)
     assert code == 1
+
+    # an unhashable id is a document error, not a traceback
+    listed = json.loads(Path(valid_doubled_doc(tmp_path)).read_text(encoding="utf-8"))
+    listed["edges"][0]["id"] = ["e1"]
+    listed = write(tmp_path / "listed.json", json.dumps(listed))
+    for command in ("validate", "annotate", "render", "slender-check"):
+        code, _, err = run(capsys, command, listed)
+        assert code == 1
+        assert err.strip() == "error: $.edges[0].id: ids must be strings"
+    code, _, err = run(capsys, "perturb", listed, "--delta", "1/10")
+    assert code == 1 and err.startswith("error: $.edges[0].id: ")
 
 
 def test_strict_flag(capsys, tmp_path):
@@ -222,12 +266,17 @@ def test_sweep_and_render_validate_once(capsys, tmp_path, monkeypatch):
     doc = valid_doubled_doc(tmp_path)
     validator = importlib.import_module("linkfold.validator")
     calls = count_calls(monkeypatch, validator, ["validate"])
+    corridors = importlib.import_module("linkfold.corridors")
+    bounds = count_calls(monkeypatch, corridors, ["delta_bound"])
     code, out, _ = run(capsys, "perturb", doc, "--delta", "1/10", "--sweep", "3")
     assert code == 0 and len(json.loads(out)["entries"]) == 3
-    assert calls["validate"] == 1
+    assert calls["validate"] == 1 and bounds["delta_bound"] == 1
     code, _, _ = run(capsys, "render", doc, "--display-delta", "1/20")
     assert code == 0
-    assert calls["validate"] == 2
+    assert calls["validate"] == 2 and bounds["delta_bound"] == 2
+    code, _, _ = run(capsys, "render", doc, "--display-delta", "1/100")
+    assert code == 0
+    assert calls["validate"] == 3 and bounds["delta_bound"] == 3
     # the failure still names the failing checks and carries the verdict
     code, _, err = run(
         capsys, "render", zero_annotation_doc(tmp_path), "--display-delta", "1/20"
@@ -237,7 +286,7 @@ def test_sweep_and_render_validate_once(capsys, tmp_path, monkeypatch):
         "check failed: cannot render an invalid annotated configuration: "
         "well-annotated"
     )
-    assert calls["validate"] == 3
+    assert calls["validate"] == 4
 
 
 def test_resolve_errors_name_the_entry(capsys, tmp_path):

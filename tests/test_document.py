@@ -121,6 +121,14 @@ def test_parse_structural_errors():
         parse_linkage_file(text)
     assert exc.value.path == "$.edges[0]"
 
+    # id-valued fields must be strings, not (unhashable) lists or numbers
+    for field, was in (("id", '"e1"'), ("tail", '"a"'), ("head", '"b"')):
+        for bad in ('["e1"]', "1", "null"):
+            text = MINIMAL.replace(f'"{field}": {was}', f'"{field}": {bad}')
+            with pytest.raises(DocumentError) as exc:
+                parse_linkage_file(text)
+            assert exc.value.path == f"$.edges[0].{field}"
+
 
 def test_parse_epsilon_and_membership():
     text = json.dumps(
@@ -197,6 +205,15 @@ def test_annotation_entry_rules():
     with pytest.raises(DocumentError) as exc:
         parse_linkage_file(json.dumps(badlayer))
     assert exc.value.path == "$.annotations[0].layer"
+
+    for field in ("first", "second"):
+        for key, value in (("value", "1"), ("layer", "+1")):
+            entry = {"first": "e1", "second": "e2", key: value}
+            entry[field] = [entry[field]]
+            bad = {"format": "linkfold/1", "annotations": [entry]}
+            with pytest.raises(DocumentError) as exc:
+                parse_linkage_file(json.dumps(bad))
+            assert exc.value.path == f"$.annotations[0].{field}"
 
 
 def test_resolve_annotations_layer_fill():
@@ -291,6 +308,21 @@ def test_parse_frames_and_extension_map_errors():
         parse_linkage_file(json.dumps(bad))
     assert exc.value.path == "$.extension_map"
 
+    for xmap, path in (
+        ({"vertices": {"v.0": ["v"]}}, "$.extension_map.vertices"),
+        ({"edges": {"e": 3}}, "$.extension_map.edges"),
+        ({"extension_edges": ["x0", None]}, "$.extension_map.extension_edges[1]"),
+    ):
+        bad = {"format": "linkfold/1", "extension_map": xmap}
+        with pytest.raises(DocumentError) as exc:
+            parse_linkage_file(json.dumps(bad))
+        assert exc.value.path == path
+    good = {"vertices": {"v.0": "v"}, "edges": {"e": "e"}, "extension_edges": ["x0"]}
+    doc = parse_linkage_file(
+        json.dumps({"format": "linkfold/1", "extension_map": good})
+    )
+    assert doc.extension_map == ExtensionMap({"v.0": "v"}, {"e": "e"}, ("x0",))
+
 
 def test_parse_adornment_errors():
     bad = {
@@ -300,6 +332,18 @@ def test_parse_adornment_errors():
     with pytest.raises(DocumentError) as exc:
         parse_linkage_file(json.dumps(bad))
     assert exc.value.path == "$.adornments[0].base"
+
+    # a bool is an int to Python, but not a vertex index
+    for base in ([True, 2], [0, False], [0, 1.0]):
+        bad = {
+            "format": "linkfold/1",
+            "adornments": [
+                {"boundary": [["0", "0"], ["2", "0"], ["1", "1"]], "base": base}
+            ],
+        }
+        with pytest.raises(DocumentError) as exc:
+            parse_linkage_file(json.dumps(bad))
+        assert exc.value.path == "$.adornments[0].base"
 
     bad = {
         "format": "linkfold/1",

@@ -10,6 +10,7 @@ from helpers import (
     big_eps,
     closed_chain_linkage,
     conf,
+    count_calls,
     doubled_chain,
     zero_cluster_star,
     mk_linkage,
@@ -63,6 +64,44 @@ def test_edge_and_linkage_validation():
     with pytest.raises(LinkageError):
         L.edge_index("nope")
     assert L.degree("a") == 1
+
+
+def test_incidence_index_matches_scans():
+    rng = random.Random(61)
+    cases = [
+        mk_linkage([("e1", "a", "b", 1)], vertices=("a", "b", "lone")),
+        mk_linkage([("p", "a", "b", 1), ("q", "b", "a", 2), ("r", "a", "b", 0)]),
+        Linkage(("solo",), ()),
+        Linkage((), ()),
+    ]
+    for _ in range(60):
+        cases.append(random_linkage(rng)[0])
+        cases.append(random_zero_linkage(rng)[0])
+    for L in cases:
+        for v in L.vertices + ("unknown",):
+            scan = [i for i, e in enumerate(L.edges) if v in (e.tail, e.head)]
+            got = L.incident_slots(v)
+            assert got == scan and L.degree(v) == len(scan)
+            got.append(-1)  # a fresh list: the index is not exposed
+            assert L.incident_slots(v) == scan
+        for i, e in enumerate(L.edges):
+            assert L.edge_index(e.id) == i
+        for bad in ("unknown", ["e1"], None):
+            with pytest.raises(LinkageError, match="no edge"):
+                L.edge_index(bad)
+
+
+def test_slack_free_exactness_needs_no_membership_test(monkeypatch):
+    L = mk_linkage([("e1", "a", "b", 1), ("e2", "b", "c", 0)])
+    exact = conf(L, {"a": (0, 0), "b": (1, 0), "c": (1, 0)})
+    near = Configuration(L, {"a": (0, 0), "b": (1, 0), "c": (1, 0)}, F(1, 10))
+    off = Configuration(L, {"a": (0, 0), "b": (1, 0), "c": (1, F(1, 20))}, F(1, 10))
+    calls = count_calls(monkeypatch, linkfold.linkage, ["configuration_membership"])
+    require_conf0(exact)
+    assert exact.is_exact() and calls["configuration_membership"] == 0
+    # a slack configuration may still sit exactly on its rest lengths
+    assert near.is_exact() and not off.is_exact()
+    assert calls["configuration_membership"] == 2
 
 
 def test_membership_band():

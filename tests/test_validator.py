@@ -1,5 +1,6 @@
 """Four-stage validity checks and the magnified local pictures they use."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -23,14 +24,18 @@ from helpers import (
     random_nontouching,
     random_sa_instance,
     reference_check_well_annotated,
+    reference_check_well_ordered,
+    reference_germ_classes,
     reference_overlapping_pairs,
 )
 import linkfold.annotations
 from linkfold.annotations import AnnotationMatrix, annotate
 from linkfold.document import resolve_annotations
 from linkfold.errors import AnnotationError, LinkageError
-from linkfold.linkage import Configuration, Linkage
+from linkfold.linkage import Configuration, Linkage, configuration_membership
 from linkfold.validator import (
+    Inbound,
+    MagnifiedView,
     _find_interleave,
     check_macroscopic,
     check_microscopic,
@@ -235,6 +240,78 @@ def test_find_interleave_matches_brute_force():
         else:
             assert got is None
     assert hits > 100
+
+
+def test_germ_classes_match_union_find():
+    rng = random.Random(71)
+    instances = [(L, C) for _, L, C, _ in corpus_geometries() if C.epsilon == 0]
+    for _ in range(150):
+        L, C, _ = random_layered_flat(rng, rng.randint(2, 10))
+        instances.append((L, C))
+    for _ in range(300):
+        L, P, _ = random_sa_instance(rng)
+        if configuration_membership(L, P, 0):
+            instances.append((L, Configuration(L, P)))
+    shared = passes = 0
+    for L, C in instances:
+        for view in magnified_views(L, C):
+            assert view.class_of == reference_germ_classes(L, view)
+            shared += len(set(view.class_of)) < len(view.class_of)
+            passes += any(ib.kind == "pass" for ib in view.inbounds)
+    assert shared > 100 and passes > 10
+
+
+def _entrance_views(rng):
+    """One or two views of 2-6 germs at one or two entrances, random signs.
+
+    Each germ is its own bar. Most pairs in a view get consistent
+    nonzero entries with a random winner, so many entrances are
+    tournaments; the rest are random, zero included.
+    """
+    views, rows = [], []
+    for location in range(rng.randint(1, 2)):
+        dirs = [(1, 0), (0, 1)][: rng.randint(1, 2)]
+        first, k = len(rows), rng.randint(2, 6)
+        inbounds = tuple(
+            Inbound(
+                i, f"e{i}", rng.choice(dirs), rng.choice((1, -1)), f"v{i}", "endpoint"
+            )
+            for i in range(first, first + k)
+        )
+        for row in rows:
+            row.extend([0] * k)
+        rows.extend([0] * (first + k) for _ in range(k))
+        for a, b in itertools.combinations(inbounds, 2):
+            if rng.random() < 0.85:
+                sa = rng.choice((1, -1))
+                sb = -sa * a.dir_flag * b.dir_flag
+            else:
+                sa, sb = rng.choice((1, 0, -1)), rng.choice((1, 0, -1))
+            rows[a.edge_index][b.edge_index] = sa * rng.randint(1, 3)
+            rows[b.edge_index][a.edge_index] = sb * rng.randint(1, 3)
+        entrances = tuple(
+            (d, idxs)
+            for d in dirs
+            if (idxs := tuple(m for m, ib in enumerate(inbounds) if ib.direction == d))
+        )
+        views.append(MagnifiedView((F(location), F(0)), inbounds, (0,) * k, entrances))
+    return tuple(views), AnnotationMatrix.from_rows(rows)
+
+
+def test_well_ordered_win_counts_match_ranked_verification():
+    rng = random.Random(73)
+    outcomes = set()
+    for _ in range(1500):
+        views, A = _entrance_views(rng)
+        got = check_well_ordered(views, A)
+        assert got == reference_check_well_ordered(views, A)
+        outcomes.add(got.report.detail)
+    assert outcomes == {
+        "",
+        "zero annotation between germs at one entrance",
+        "annotation pair disagrees about the local order",
+        "three-way cycle in the entrance order",
+    }
 
 
 def test_microscopic_relabeling_invariance():
