@@ -18,6 +18,7 @@ from .geometry import (
     canonical_line_direction,
     cross,
     dot,
+    lattice,
     properly_cross,
     sqnorm,
     vsub,
@@ -99,7 +100,7 @@ def overlap_length(e1: Segment, e2: Segment) -> SqrtRational:
     hi = min(scale, max(xa, xb))
     if hi <= lo:
         return SqrtRational(0)
-    return SqrtRational((hi - lo) / scale, scale)
+    return SqrtRational(Fraction(hi - lo, scale), scale)
 
 
 def strict_crossing(e1: Segment, e2: Segment) -> bool:
@@ -131,17 +132,25 @@ def overlapping_pairs(segs) -> dict[tuple[int, int], SqrtRational]:
 
     Only collinear bars with a one-dimensional common stretch overlap, so
     each line's bars are swept by start parameter; overlap_length runs
-    once per overlapping ordered pair and never on any other pair.
+    once per overlapping ordered pair and never on any other pair. The
+    scan runs on the segments' integer lattice D*p; a value c*sqrt(r)
+    measured there is c*sqrt(r / D^2) back in the input's units.
     """
+    D, images = lattice(p for seg in segs for p in seg)
+    isegs = list(zip(images[::2], images[1::2]))
     pairs = []
-    for group in bars_by_line(segs).values():
-        active: list[tuple[Fraction, int]] = []
+    for group in bars_by_line(isegs).values():
+        active: list[tuple[int, int]] = []
         for lo, hi, i in group:
             active = [(h, k) for h, k in active if h > lo]
             pairs.extend((min(i, k), max(i, k)) for _, k in active)
             active.append((hi, i))
     ordered = sorted(pairs + [(j, i) for i, j in pairs])
-    return {(i, j): overlap_length(segs[i], segs[j]) for i, j in ordered}
+    out = {(i, j): overlap_length(isegs[i], isegs[j]) for i, j in ordered}
+    if D != 1:
+        for key, v in out.items():
+            out[key] = SqrtRational(v.coeff, Fraction(v.radicand, D * D))
+    return out
 
 
 class AnnotationMatrix:

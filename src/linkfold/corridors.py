@@ -15,10 +15,12 @@ from .annotations import AnnotationMatrix, bars_by_line
 from .errors import CorridorError
 from .geometry import (
     Point,
+    angle_descending_key,
     canonical_line_direction,
     cross,
     dot,
     point_on_line,
+    primitive_direction,
     rot90ccw,
     sign,
     sqnorm,
@@ -179,31 +181,23 @@ def delta_bound(linkage: Linkage, configuration: Configuration) -> Fraction:
     if not linkage.edges:
         return Fraction(1, 2)
     candidates = [Fraction(1, n)]
-    positives = [
-        (i, C.segment(e))
-        for i, e in enumerate(linkage.edges)
-        if e.rest_length > 0
-    ]
     pos_lengths = [e.rest_length for e in linkage.edges if e.rest_length > 0]
     if pos_lengths:
         candidates.append(min(pos_lengths))
 
-    min_sin_sq: Fraction | None = None
-    for x in range(len(positives)):
-        _, (a1, b1) = positives[x]
-        d1 = vsub(b1, a1)
-        for y in range(x + 1, len(positives)):
-            _, (a2, b2) = positives[y]
-            d2 = vsub(b2, a2)
-            c = cross(d1, d2)
-            if c == 0:
-                continue
-            s2 = c * c / (sqnorm(d1) * sqnorm(d2))
-            if min_sin_sq is None or s2 < min_sin_sq:
-                min_sin_sq = s2
-    if min_sin_sq is None:
-        sin_lb = Fraction(1)
-    else:
-        sin_lb = sqrt_lower_bound(min_sin_sq)
+    # the least sine over nonparallel bars is reached between neighbouring
+    # primitive directions sorted modulo pi, the last and first included
+    dirs = set()
+    for e in linkage.edges:
+        if e.rest_length > 0:
+            x, y = primitive_direction(vsub(*C.segment(e)))
+            dirs.add((x, y) if y > 0 or (y == 0 and x > 0) else (-x, -y))
+    ordered = sorted(dirs, key=angle_descending_key)
+    sin_sq = [
+        Fraction(c * c, sqnorm(u) * sqnorm(v))
+        for u, v in zip(ordered, ordered[1:] + ordered[:1])
+        if (c := cross(u, v)) != 0
+    ]
+    sin_lb = sqrt_lower_bound(min(sin_sq)) if sin_sq else Fraction(1)
     candidates.append(sin_lb / (2 * n))
     return min(candidates)

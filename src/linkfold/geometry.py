@@ -1,7 +1,9 @@
 """Exact planar primitives over rational coordinates.
 
-Points and vectors are pairs of Fractions. Every predicate here is
-exact; nothing in this module touches floating point.
+Points and vectors are pairs of Fractions, or of ints once a scan has
+moved them onto a common integer lattice (``lattice``); the predicates
+are generic over both. Every predicate here is exact; nothing in this
+module touches floating point.
 """
 
 from __future__ import annotations
@@ -70,6 +72,43 @@ def properly_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
     o3 = sign(orient(c, d, a))
     o4 = sign(orient(c, d, b))
     return o1 * o2 < 0 and o3 * o4 < 0
+
+
+def lattice(points) -> tuple[int, list[tuple[int, ...]]]:
+    """Common denominator D of the points and their integer images D*p.
+
+    Images come in input order. Scaling by D > 0 keeps every sign that
+    orient, dot and cross give, so the predicates above answer the same
+    on the images, with integer arithmetic only.
+    """
+    pts = list(points)
+    D = math.lcm(*{c.denominator for p in pts for c in p})
+    return D, [tuple(c.numerator * (D // c.denominator) for c in p) for p in pts]
+
+
+def box_pairs(segments) -> list[tuple[int, int]]:
+    """Index pairs (i, j), i < j, of segments whose closed boxes overlap.
+
+    Pairs come in ascending order. The bounding boxes are swept by
+    x-min with an active list pruned by x-max, and each survivor is
+    tested for y-overlap, after Shamos and Hoey (1976). Boxes that only
+    touch count as overlapping, and a point is the segment (p, p).
+    """
+    boxes = [
+        (min(a[0], b[0]), min(a[1], b[1]), max(a[0], b[0]), max(a[1], b[1]))
+        for a, b in segments
+    ]
+    pairs = []
+    active: list[int] = []
+    for i in sorted(range(len(boxes)), key=lambda k: boxes[k][0]):
+        x0, y0, _, y1 = boxes[i]
+        active = [k for k in active if boxes[k][2] >= x0]
+        for k in active:
+            if boxes[k][1] <= y1 and y0 <= boxes[k][3]:
+                pairs.append((k, i) if k < i else (i, k))
+        active.append(i)
+    pairs.sort()
+    return pairs
 
 
 def rot90ccw(v: Vec) -> Vec:

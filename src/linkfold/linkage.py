@@ -17,9 +17,10 @@ from typing import Iterable, Mapping, Sequence
 from .errors import LinkageError
 from .geometry import (
     Point,
+    box_pairs,
     in_open_segment,
+    lattice,
     properly_cross,
-    sqdist,
 )
 
 
@@ -119,6 +120,21 @@ class Linkage:
         return len(self._slots.get(vertex, ()))
 
 
+def _squared_lengths(linkage: Linkage, placement: Mapping[str, Point]):
+    """Each edge's (s, t2, rest length) with s / t2 its squared length.
+
+    Both are unreduced ints over the edge's own denominators xd * yd,
+    so the caller compares by cross-multiplying, never by reducing.
+    """
+    for e in linkage.edges:
+        (ax, ay), (bx, by) = placement[e.tail], placement[e.head]
+        xd, yd = ax.denominator * bx.denominator, ay.denominator * by.denominator
+        xn = (ax.numerator * bx.denominator - bx.numerator * ax.denominator) * yd
+        yn = (ay.numerator * by.denominator - by.numerator * ay.denominator) * xd
+        t = xd * yd
+        yield xn * xn + yn * yn, t * t, e.rest_length
+
+
 def configuration_membership(
     linkage: Linkage, placement: Mapping[str, Point], epsilon
 ) -> bool:
@@ -126,6 +142,8 @@ def configuration_membership(
 
     The lower band (l - eps)^2 <= d^2 applies only when l >= eps; below
     that the band floor is zero and only the upper bound constrains.
+    Each bar compares d^2 * t2 against (l +- eps)^2 over their own
+    denominators, in integers.
     """
     eps = Fraction(epsilon)
     if eps < 0:
@@ -133,12 +151,14 @@ def configuration_membership(
     for v in linkage.vertices:
         if v not in placement:
             raise LinkageError(f"placement missing vertex {v!r}")
-    for e in linkage.edges:
-        d2 = sqdist(placement[e.tail], placement[e.head])
-        l = e.rest_length
-        if d2 > (l + eps) ** 2:
+    en, ed = eps.numerator, eps.denominator
+    for s, t2, l in _squared_lengths(linkage, placement):
+        ln, ld = l.numerator, l.denominator
+        hi, lo, scale = ln * ed + en * ld, ln * ed - en * ld, ld * ed
+        d2 = s * scale * scale
+        if d2 > hi * hi * t2:
             return False
-        if l >= eps and d2 < (l - eps) ** 2:
+        if lo >= 0 and d2 < lo * lo * t2:
             return False
     return True
 
@@ -160,15 +180,11 @@ def certify_epsilon(
     # d^2 = p / den, l^2 = q / den over unreduced ints: the gap |d - l| is
     # within 2x of |p - q| / sqrt(max(p, q) * den), logged by bit lengths
     gaps = []
-    for e in linkage.edges:
-        (ax, ay), (bx, by) = placement[e.tail], placement[e.head]
-        xd, yd = ax.denominator * bx.denominator, ay.denominator * by.denominator
-        ln, ld = e.rest_length.numerator, e.rest_length.denominator
-        xn = (ax.numerator * bx.denominator - bx.numerator * ax.denominator) * yd
-        yn = (ay.numerator * by.denominator - by.numerator * ay.denominator) * xd
-        p, q = (xn * xn + yn * yn) * ld * ld, (ln * xd * yd) ** 2
+    for s, t2, l in _squared_lengths(linkage, placement):
+        ln, ld = l.numerator, l.denominator
+        p, q = s * ld * ld, ln * ln * t2
         if p != q:
-            root = max(p, q).bit_length() + ((xd * yd * ld) ** 2).bit_length()
+            root = max(p, q).bit_length() + (t2 * ld * ld).bit_length()
             gaps.append(abs(p - q).bit_length() - root // 2)
 
     def fits(k: int) -> bool:
@@ -203,6 +219,18 @@ class Configuration:
 
     def point(self, vertex: str) -> Point:
         return self.placement[vertex]
+
+    def lattice(self) -> dict[str, tuple[int, int]]:
+        """Each vertex's integer image D*p, D the placement's common denominator.
+
+        Built by the first contact scan that asks for it, then kept;
+        construction and membership never build it.
+        """
+        images = self.__dict__.get("_lattice")
+        if images is None:
+            images = dict(zip(self.placement, lattice(self.placement.values())[1]))
+            object.__setattr__(self, "_lattice", images)
+        return images
 
     def segment(self, edge: Edge) -> tuple[Point, Point]:
         return self.placement[edge.tail], self.placement[edge.head]
@@ -267,9 +295,10 @@ def touch_witness(linkage: Linkage, configuration: Configuration) -> tuple | Non
     if configuration.linkage is not linkage and configuration.linkage != linkage:
         raise LinkageError("configuration belongs to a different linkage")
     C = configuration
+    images = C.lattice()
     segs, zero = [], []
     for e in linkage.edges:
-        a, b = C.segment(e)
+        a, b = images[e.tail], images[e.head]
         if a != b:
             segs.append((e, a, b))
         else:
@@ -278,32 +307,41 @@ def touch_witness(linkage: Linkage, configuration: Configuration) -> tuple | Non
     cls = part.class_of
 
     # (a) distinct merged vertices occupy distinct points
-    pointmap: dict[Point, str] = {}
+    pointmap: dict[tuple[int, int], str] = {}
     for v in linkage.vertices:
-        first = pointmap.setdefault(C.placement[v], v)
+        first = pointmap.setdefault(images[v], v)
         if cls[first] != cls[v]:
             return ("vertices coincide", first, v)
 
+    # every contact below lies in both closed bounding boxes; one sweep
+    # over the bars and the merged vertices (as points) lists candidates
+    # in the order of the pairwise double loops
+    n = len(segs)
+    points = [images[members[0]] for members in part.classes]
+    pairs = box_pairs([(a, b) for _, a, b in segs] + [(p, p) for p in points])
+
     # (b) positive bars intersect only at shared merged endpoints
-    for x, (ea, a1, b1) in enumerate(segs):
-        for eb, a2, b2 in segs[x + 1 :]:
-            if properly_cross(a1, b1, a2, b2):
-                return ("bars cross", ea.id, eb.id)
-            if {a1, b1} == {a2, b2}:
-                return ("bars coincide", ea.id, eb.id)
-            if in_open_segment(a1, a2, b2) or in_open_segment(b1, a2, b2):
-                return ("endpoint inside bar", ea.id, eb.id)
-            if in_open_segment(a2, a1, b1) or in_open_segment(b2, a1, b1):
-                return ("endpoint inside bar", eb.id, ea.id)
+    for x, y in pairs:
+        if y >= n:
+            continue
+        (ea, a1, b1), (eb, a2, b2) = segs[x], segs[y]
+        if properly_cross(a1, b1, a2, b2):
+            return ("bars cross", ea.id, eb.id)
+        if {a1, b1} == {a2, b2}:
+            return ("bars coincide", ea.id, eb.id)
+        if in_open_segment(a1, a2, b2) or in_open_segment(b1, a2, b2):
+            return ("endpoint inside bar", ea.id, eb.id)
+        if in_open_segment(a2, a1, b1) or in_open_segment(b2, a1, b1):
+            return ("endpoint inside bar", eb.id, ea.id)
 
     # (c) no merged vertex inside the open interior of a non-incident bar
-    for idx, members in enumerate(part.classes):
-        p = C.placement[members[0]]
-        for e, a, b in segs:
-            if cls[e.tail] == idx or cls[e.head] == idx:
-                continue
-            if in_open_segment(p, a, b):
-                return ("vertex inside bar", p, e.id)
+    hits = sorted((y - n, x) for x, y in pairs if x < n <= y)
+    for idx, x in hits:
+        e, a, b = segs[x]
+        if cls[e.tail] == idx or cls[e.head] == idx:
+            continue
+        if in_open_segment(points[idx], a, b):
+            return ("vertex inside bar", C.placement[part.classes[idx][0]], e.id)
     return None
 
 

@@ -10,12 +10,12 @@ be evaluated exactly on rational assignments.
 from __future__ import annotations
 
 import functools
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import LinkageError
+from .geometry import lattice
 from .linkage import Linkage
 
 Monomial = tuple[str, ...]
@@ -369,7 +369,8 @@ def eval_system(system: ConstraintSystem, assignment) -> EvalReport:
     """Exact truth of every assert under a rational assignment.
 
     The assignment is scaled to integers by the LCM D of its
-    denominators. A polynomial of degree g is evaluated as D^g times
+    denominators (geometry.lattice, with the whole assignment as one
+    point). A polynomial of degree g is evaluated as D^g times
     its value, each term c*m weighted by D^(g - deg m), which has the
     same sign and is an integer wherever c is. Each distinct Poly
     object is evaluated at most once.
@@ -378,8 +379,8 @@ def eval_system(system: ConstraintSystem, assignment) -> EvalReport:
     for name in system.variables:
         if name not in values:
             raise LinkageError(f"assignment missing variable {name!r}")
-    scale = math.lcm(*(v.denominator for v in values.values()))
-    ints = {k: v.numerator * (scale // v.denominator) for k, v in values.items()}
+    scale, (point,) = lattice([tuple(values.values())])
+    ints = dict(zip(values, point))
     powers = [1]
     signs: dict[int, int] = {}
 

@@ -15,6 +15,7 @@ from .annotations import AnnotationMatrix, ord_value, strict_crossing
 from .errors import AnnotationError
 from .geometry import (
     angle_descending_key,
+    box_pairs,
     in_open_segment,
     primitive_direction,
     vsub,
@@ -126,18 +127,22 @@ class Verdict:
 
 
 def check_macroscopic(linkage: Linkage, configuration: Configuration) -> CheckReport:
-    """No two bars may cross transversally through interior points."""
-    segs = [configuration.segment(e) for e in linkage.edges]
-    n = len(segs)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if strict_crossing(segs[i], segs[j]):
-                return CheckReport(
-                    "macroscopic",
-                    "fail",
-                    (linkage.edges[i].id, linkage.edges[j].id),
-                    "bars cross transversally",
-                )
+    """No two bars may cross transversally through interior points.
+
+    A crossing lies in both bars' closed bounding boxes, so only the
+    pairs the box sweep keeps are tested, on the integer lattice and in
+    the order of the pairwise double loop.
+    """
+    images = configuration.lattice()
+    segs = [(images[e.tail], images[e.head]) for e in linkage.edges]
+    for i, j in box_pairs(segs):
+        if strict_crossing(segs[i], segs[j]):
+            return CheckReport(
+                "macroscopic",
+                "fail",
+                (linkage.edges[i].id, linkage.edges[j].id),
+                "bars cross transversally",
+            )
     return CheckReport("macroscopic", "pass")
 
 

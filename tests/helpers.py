@@ -19,19 +19,23 @@ from linkfold.annotations import (
     annotate,
     ord_value,
     overlap_length,
+    strict_crossing,
 )
 from linkfold.geometry import (
     canonical_line,
     canonical_line_direction,
+    cross,
     dot,
     in_open_segment,
     properly_cross,
     sign,
+    sqdist,
+    sqnorm,
     vsub,
 )
 from linkfold.document import SparseAnnotation, parse_linkage_file, resolve_annotations
 from linkfold.chains import ChainShape
-from linkfold.errors import ChainError
+from linkfold.errors import ChainError, LinkageError
 from linkfold.linkage import (
     Configuration,
     DisjointSets,
@@ -40,8 +44,9 @@ from linkfold.linkage import (
     configuration_membership,
     is_nontouching,
     merged_vertex_partition,
+    require_conf0,
 )
-from linkfold.rationals import SqrtRational
+from linkfold.rationals import SqrtRational, sqrt_lower_bound
 from linkfold.semialgebra import (
     And,
     Atom,
@@ -526,6 +531,130 @@ def reference_is_nontouching(linkage, configuration):
             if in_open_segment(p, a, b):
                 return False
     return True
+
+
+def reference_touch_witness(linkage, configuration):
+    """The pairwise Fraction touch_witness the broad phase replaced.
+
+    Same checks, order and witness tuples as linkage.touch_witness: all
+    bar pairs, then every merged vertex against every bar.
+    """
+    if configuration.linkage is not linkage and configuration.linkage != linkage:
+        raise LinkageError("configuration belongs to a different linkage")
+    C = configuration
+    segs, zero = [], []
+    for e in linkage.edges:
+        a, b = C.segment(e)
+        if a != b:
+            segs.append((e, a, b))
+        else:
+            zero.append(e)
+    part = DisjointSets._partition(linkage.vertices, zero)
+    cls = part.class_of
+
+    pointmap = {}
+    for v in linkage.vertices:
+        first = pointmap.setdefault(C.placement[v], v)
+        if cls[first] != cls[v]:
+            return ("vertices coincide", first, v)
+
+    for x, (ea, a1, b1) in enumerate(segs):
+        for eb, a2, b2 in segs[x + 1 :]:
+            if properly_cross(a1, b1, a2, b2):
+                return ("bars cross", ea.id, eb.id)
+            if {a1, b1} == {a2, b2}:
+                return ("bars coincide", ea.id, eb.id)
+            if in_open_segment(a1, a2, b2) or in_open_segment(b1, a2, b2):
+                return ("endpoint inside bar", ea.id, eb.id)
+            if in_open_segment(a2, a1, b1) or in_open_segment(b2, a1, b1):
+                return ("endpoint inside bar", eb.id, ea.id)
+
+    for idx, members in enumerate(part.classes):
+        p = C.placement[members[0]]
+        for e, a, b in segs:
+            if cls[e.tail] == idx or cls[e.head] == idx:
+                continue
+            if in_open_segment(p, a, b):
+                return ("vertex inside bar", p, e.id)
+    return None
+
+
+def reference_check_macroscopic(linkage, configuration):
+    """The all-pairs Fraction crossing check, row-major, as an oracle."""
+    segs = [configuration.segment(e) for e in linkage.edges]
+    n = len(segs)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if strict_crossing(segs[i], segs[j]):
+                return CheckReport(
+                    "macroscopic",
+                    "fail",
+                    (linkage.edges[i].id, linkage.edges[j].id),
+                    "bars cross transversally",
+                )
+    return CheckReport("macroscopic", "pass")
+
+
+def reference_membership(linkage, placement, epsilon):
+    """The Fraction Conf_epsilon band test, as an oracle."""
+    eps = Fraction(epsilon)
+    if eps < 0:
+        raise LinkageError("negative epsilon")
+    for v in linkage.vertices:
+        if v not in placement:
+            raise LinkageError(f"placement missing vertex {v!r}")
+    for e in linkage.edges:
+        d2 = sqdist(placement[e.tail], placement[e.head])
+        l = e.rest_length
+        if d2 > (l + eps) ** 2:
+            return False
+        if l >= eps and d2 < (l - eps) ** 2:
+            return False
+    return True
+
+
+def reference_delta_bound(linkage, configuration):
+    """delta_bound with the least sine taken over all nonparallel pairs."""
+    require_conf0(configuration)
+    C = configuration
+    n = max(len(linkage.edges), 1)
+    if not linkage.edges:
+        return Fraction(1, 2)
+    candidates = [Fraction(1, n)]
+    positives = [C.segment(e) for e in linkage.edges if e.rest_length > 0]
+    pos_lengths = [e.rest_length for e in linkage.edges if e.rest_length > 0]
+    if pos_lengths:
+        candidates.append(min(pos_lengths))
+    min_sin_sq = None
+    for x in range(len(positives)):
+        a1, b1 = positives[x]
+        d1 = vsub(b1, a1)
+        for y in range(x + 1, len(positives)):
+            a2, b2 = positives[y]
+            d2 = vsub(b2, a2)
+            c = cross(d1, d2)
+            if c == 0:
+                continue
+            s2 = c * c / (sqnorm(d1) * sqnorm(d2))
+            if min_sin_sq is None or s2 < min_sin_sq:
+                min_sin_sq = s2
+    sin_lb = Fraction(1) if min_sin_sq is None else sqrt_lower_bound(min_sin_sq)
+    candidates.append(sin_lb / (2 * n))
+    return min(candidates)
+
+
+def closed_box_pairs(segs):
+    """Brute-force filter: pairs i < j whose closed bounding boxes meet."""
+    boxes = [
+        (min(a[0], b[0]), min(a[1], b[1]), max(a[0], b[0]), max(a[1], b[1]))
+        for a, b in segs
+    ]
+    return [
+        (i, j)
+        for i, (ax0, ay0, ax1, ay1) in enumerate(boxes)
+        for j, (bx0, by0, bx1, by1) in enumerate(boxes)
+        if i < j and ax0 <= bx1 and bx0 <= ax1 and ay0 <= by1 and by0 <= ay1
+    ]
 
 
 def nontouch_oracle(linkage, placement):

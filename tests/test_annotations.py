@@ -25,6 +25,7 @@ from linkfold.annotations import (
     strict_crossing,
 )
 from linkfold.errors import AnnotationError, LinkageError
+from linkfold.geometry import lattice
 from linkfold.linkage import Configuration
 from linkfold.rationals import SqrtRational
 
@@ -267,6 +268,45 @@ def test_overlapping_pairs_matches_reference():
         assert list(got.items()) == list(reference_overlapping_pairs(segs).items())
         hits += bool(got)
     assert hits >= 200
+
+
+def test_overlapping_pairs_fields_match_fraction_path():
+    # int-lattice segments and rational ones both give, field by field,
+    # the (coeff, radicand) pair overlap_length builds on Fractions, so a
+    # stray int division (a float) or a rescaled radicand shows here
+    rng = random.Random(18)
+    cases = []
+    for _ in range(60):
+        L, C, _ = random_layered_flat(rng, rng.randint(2, 12))
+        cases.append([C.segment(e) for e in L.edges])
+    for _ in range(60):
+        # collinear bars on a line whose direction has an irrational length
+        d = (rng.randint(1, 5), rng.randint(-5, 5))
+        o = (F(rng.randint(-9, 9), rng.randint(1, 7)), F(rng.randint(-9, 9), 3))
+        ts = [F(rng.randint(-12, 12), rng.randint(1, 5)) for _ in range(12)]
+        cases.append(
+            [
+                tuple((o[0] + t * d[0], o[1] + t * d[1]) for t in ts[k : k + 2])
+                for k in range(0, 12, 2)
+                if ts[k] != ts[k + 1]
+            ]
+        )
+    checked = folded = 0
+    for segs in cases:
+        images = lattice(p for s in segs for p in s)[1]
+        isegs = list(zip(images[::2], images[1::2]))
+        fsegs = [tuple((F(x), F(y)) for x, y in s) for s in isegs]
+        for inputs, exact in ((segs, segs), (isegs, fsegs)):
+            got = overlapping_pairs(inputs)
+            want = reference_overlapping_pairs(exact)
+            assert list(got) == list(want)
+            for key, v in got.items():
+                w = want[key]
+                assert type(v.coeff) is type(v.radicand) is Fraction
+                assert (v.coeff, v.radicand) == (w.coeff, w.radicand), key
+                checked += 1
+                folded += v.radicand == 1
+    assert checked >= 500 and 0 < folded < checked
 
 
 def test_annotation_matrix_overrides_over_defaults():

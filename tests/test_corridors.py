@@ -1,17 +1,23 @@
 """Corridor decomposition, layer orders, and the perturbation radius bound."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from helpers import (
+    RATIONAL_DIRS,
     conf,
+    corpus_geometries,
     cyclic_gadget,
     degenerate_triangle,
     doubled_chain,
     zero_cluster_star,
     mk_linkage,
     perturbation_corpus,
+    random_layered_flat,
+    random_linkage,
+    reference_delta_bound,
     spiral4,
     straight_chain,
     zipper5,
@@ -198,3 +204,37 @@ def test_delta_bound_skew_angle_exact():
     L = mk_linkage([("h", "a", "b", 1), ("d", "a", "c", 1)])
     C = conf(L, {"a": (0, 0), "b": (1, 0), "c": (F(20, 29), F(21, 29))})
     assert delta_bound(L, C) == F(21, 116)
+
+
+def test_delta_bound_matches_all_pairs_reference():
+    rng = random.Random(19)
+    cases = [(L, C) for _, L, C, _ in corpus_geometries() if C.epsilon == 0]
+    cases += [random_layered_flat(rng, rng.randint(1, 12))[:2] for _ in range(100)]
+    cases += [random_linkage(rng, 2, 12) for _ in range(300)]
+    for _ in range(100):
+        # a fan of bars from one hub on random Pythagorean directions
+        dirs = rng.sample(RATIONAL_DIRS, rng.randint(1, 8))
+        specs = [(f"e{k}", "o", f"v{k}", n) for k, (_, _, n) in enumerate(dirs)]
+        coords = {"o": (F(1, 3), F(-2))}
+        coords.update(
+            (f"v{k}", (F(1, 3) + dx, F(-2) + dy)) for k, (dx, dy, _) in enumerate(dirs)
+        )
+        L = mk_linkage(specs)
+        cases.append((L, conf(L, coords)))
+    distinct = set()
+    for L, C in cases:
+        got = delta_bound(L, C)
+        assert got == reference_delta_bound(L, C)
+        distinct.add(got)
+    assert len(distinct) >= 20
+
+
+def test_delta_bound_least_sine_wraps_around():
+    # directions at 0, 90 and about 168.6 degrees: the closest pair of
+    # lines is the last and first direction sorted modulo pi
+    L = mk_linkage(
+        [("h", "a", "b", 1), ("v", "a", "c", 1), ("w", "a", "d", 101), ("p", "c", "e", 2)]
+    )
+    C = conf(L, {"a": (0, 0), "b": (1, 0), "c": (0, 1), "d": (-99, 20), "e": (2, 1)})
+    # sin = 20/101 between h and w; the sine term (20/101)/8 is the least
+    assert delta_bound(L, C) == F(20, 808) == reference_delta_bound(L, C)

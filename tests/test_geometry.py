@@ -6,12 +6,15 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import closed_box_pairs
 from linkfold.geometry import (
     angle_descending_key,
+    box_pairs,
     canonical_line,
     canonical_line_direction,
     compare_angle_descending,
     in_open_segment,
+    lattice,
     on_closed_segment,
     orient,
     point_on_line,
@@ -165,3 +168,46 @@ def test_canonical_line_direction_points_right_or_up():
         assert math.gcd(abs(dx), abs(dy)) == 1
     assert canonical_line_direction(canonical_line((F(0), F(0)), (F(0), F(3)))) == (0, 1)
     assert canonical_line_direction(canonical_line((F(5), F(1)), (F(0), F(1)))) == (1, 0)
+
+
+def test_lattice_scales_to_common_denominator():
+    pts = [(F(1, 6), F(-3, 4)), (F(5), F(0)), (F(2, 9), F(7, 10))]
+    D, images = lattice(pts)
+    assert D == 180
+    assert images == [(30, -135), (900, 0), (40, 126)]
+    assert all(type(c) is int for p in images for c in p)
+    assert lattice([(1, 2), (3, -4)]) == (1, [(1, 2), (3, -4)])
+    assert lattice([]) == (1, [])
+    # any arity: one long tuple scales a whole assignment at once
+    assert lattice([(F(1, 2), F(1, 3), F(-1, 4))]) == (12, [(6, 4, -3)])
+
+
+def test_lattice_keeps_predicate_signs():
+    rng = random.Random(31)
+    for _ in range(300):
+        pts = [rpt(rng) for _ in range(4)]
+        _, (a, b, c, d) = lattice(pts)
+        assert properly_cross(a, b, c, d) == properly_cross(*pts)
+        assert in_open_segment(a, b, c) == in_open_segment(*pts[:3])
+        assert (orient(a, b, c) > 0) == (orient(*pts[:3]) > 0)
+
+
+def test_box_pairs_matches_brute_force():
+    rng = random.Random(32)
+    for trial in range(300):
+        n = rng.randint(0, 14)
+        segs = []
+        for _ in range(n):
+            a = rpt(rng)
+            # points, axis-parallel bars and bars meeting only at a box side
+            b = rng.choice([a, (a[0], rpt(rng)[1]), (rpt(rng)[0], a[1]), rpt(rng)])
+            segs.append((a, b))
+        if trial % 2:
+            segs = lattice(p for s in segs for p in s)[1]
+            segs = list(zip(segs[::2], segs[1::2]))
+        assert box_pairs(segs) == closed_box_pairs(segs)
+    # boxes that only touch along a side or at a corner count
+    unit = ((F(0), F(0)), (F(1), F(1)))
+    assert box_pairs([unit, ((F(1), F(1)), (F(2), F(3)))]) == [(0, 1)]
+    assert box_pairs([unit, ((F(1), F(5)), (F(1), F(1, 2)))]) == [(0, 1)]
+    assert box_pairs([unit, ((F(2), F(0)), (F(3), F(1)))]) == []

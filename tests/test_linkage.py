@@ -1,5 +1,7 @@
 """Linkage model: membership bands, merging, nontouching, extend/reduce."""
 
+import collections
+import importlib
 import itertools
 import random
 from fractions import Fraction
@@ -7,27 +9,35 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    annotation_from_layers,
     big_eps,
+    closed_box_pairs,
     closed_chain_linkage,
     conf,
     count_calls,
     doubled_chain,
+    layered_strip,
     zero_cluster_star,
     mk_linkage,
     perturbed_closed_pair,
     random_adorned_chain,
     random_closed_lengths,
+    random_layered_flat,
     random_linkage,
     random_sa_instance,
     random_zero_linkage,
+    reference_check_macroscopic,
     reference_epsilon,
     reference_is_nontouching,
+    reference_membership,
+    reference_touch_witness,
     straight_chain,
 )
+import linkfold.geometry
 import linkfold.linkage
 from linkfold.adornments import adorned_chain_to_linkage
 from linkfold.chains import canonical_closed, convex_interpolate
-from linkfold.errors import ChainError, LinkageError
+from linkfold.errors import ChainError, LinkageError, PerturbationError
 from linkfold.linkage import (
     Configuration,
     Edge,
@@ -43,6 +53,8 @@ from linkfold.linkage import (
     require_conf0,
     touch_witness,
 )
+from linkfold.perturb import perturb
+from linkfold.validator import check_macroscopic
 
 F = Fraction
 
@@ -403,6 +415,7 @@ def test_touch_witness_rejects_foreign_configuration():
 def test_touch_witness_matches_reference_random():
     rng = random.Random(4000)
     seen = {True: 0, False: 0}
+    kinds = collections.Counter()
     for k in range(2001):
         if k % 3 == 0:
             L, C = random_linkage(rng, 2, 6)
@@ -413,9 +426,172 @@ def test_touch_witness_matches_reference_random():
             L, P, _ = random_sa_instance(rng)
             C = Configuration(L, P, big_eps(L, P))
         want = reference_is_nontouching(L, C)
-        assert (touch_witness(L, C) is None) == want
+        witness = touch_witness(L, C)
+        assert (witness is None) == want
+        # the broad phase finds the first witness of the pairwise loops
+        assert witness == reference_touch_witness(L, C)
+        assert check_macroscopic(L, C) == reference_check_macroscopic(L, C)
         seen[want] += 1
+        kinds[witness and witness[0]] += 1
     assert min(seen.values()) >= 300, seen
+    assert len(kinds) >= 5, kinds
+
+
+def _affine_jitter(rng, L, C):
+    """C under x -> (A x + B) / q with |A| near 10**400, a denominator q
+    near 10**12, and some vertices nudged by k / q_v with unrelated q_v
+    near 10**12; incidences survive wherever no vertex moved."""
+    q = 10**12 + rng.randint(1, 10**6)
+    A, B = 10**400 + rng.randint(0, 10**6), rng.randint(-(10**401), 10**401)
+    P = {}
+    for v, (x, y) in C.placement.items():
+        p = [(c * A + B) / q for c in (x, y)]
+        if rng.random() < 0.3:
+            k = rng.choice((0, 1))
+            p[k] += F(rng.randint(-(10**6), 10**6), 10**12 + rng.randint(1, 10**9))
+        P[v] = tuple(p)
+    return P
+
+
+def test_contact_kernel_huge_unrelated_denominators():
+    rng = random.Random(4100)
+    touching = 0
+    for k in range(240):
+        L, C = random_linkage(rng, 2, 6) if k % 2 else random_zero_linkage(rng)
+        P = _affine_jitter(rng, L, C)
+        Cx = Configuration(L, P, big_eps(L, P))
+        witness = touch_witness(L, Cx)
+        assert witness == reference_touch_witness(L, Cx)
+        assert check_macroscopic(L, Cx) == reference_check_macroscopic(L, Cx)
+        touching += witness is not None
+        for eps in (0, Cx.epsilon, F(1, 10**12), F(7, 3) * 10**400):
+            assert configuration_membership(L, P, eps) == reference_membership(
+                L, P, eps
+            )
+    assert 40 <= touching <= 200
+
+
+def test_touch_witness_matches_reference_on_perturb_attempts(monkeypatch):
+    # every snapshot perturb certifies or rejects, hinged flats included
+    calls = collections.Counter()
+
+    def checked(L, C):
+        witness = linkfold.linkage.touch_witness(L, C)
+        assert witness == reference_touch_witness(L, C)
+        assert check_macroscopic(L, C) == reference_check_macroscopic(L, C)
+        calls[witness is None] += 1
+        return witness
+
+    monkeypatch.setattr(importlib.import_module("linkfold.perturb"), "touch_witness", checked)
+    rng = random.Random(4200)
+    hinged = 0
+    for _ in range(40):
+        L, C, heights = random_layered_flat(rng, rng.randint(2, 9))
+        hinged += any(e.rest_length == 0 for e in L.edges)
+        A = annotation_from_layers(L, C, heights)
+        try:
+            perturb(L, C, A, F(1, 4 * len(L.edges)))
+        except PerturbationError:
+            pass
+    assert hinged >= 8 and min(calls.values()) >= 20, (hinged, calls)
+
+
+def test_touch_witness_first_vertex_inside_bar():
+    # isolated vertices and zero-bar clusters dropped onto bars: several
+    # merged vertices sit inside bars, and the witness is the first in
+    # (class, bar) order, as the pairwise loop finds it
+    rng = random.Random(4150)
+    firsts = collections.Counter()
+    for _ in range(300):
+        L, C = random_linkage(rng, 3, 7)
+        vertices, edges = list(L.vertices), list(L.edges)
+        P = dict(C.placement)
+        for k in range(rng.randint(2, 5)):
+            e = rng.choice(L.edges)
+            (ax, ay), (bx, by) = C.segment(e)
+            t = F(rng.randint(1, 7), 8) if rng.random() < 0.8 else F(rng.randint(-4, 12), 8)
+            v = f"i{k}"
+            vertices.append(v)
+            P[v] = (ax + t * (bx - ax), ay + t * (by - ay))
+            if rng.random() < 0.4:
+                vertices.append(f"j{k}")
+                P[f"j{k}"] = P[v]
+                edges.append(Edge(f"z{k}", v, f"j{k}", F(0)))
+        rng.shuffle(vertices)
+        Lx = Linkage(tuple(vertices), tuple(edges))
+        Cx = Configuration(Lx, P)
+        witness = touch_witness(Lx, Cx)
+        assert witness == reference_touch_witness(Lx, Cx)
+        firsts[witness and witness[0]] += 1
+    assert firsts["vertex inside bar"] >= 100, firsts
+
+
+def test_membership_band_edges_exact():
+    bar = mk_linkage([("e1", "a", "b", 5)])
+
+    def at(d):  # a bar of length d along the 3-4-5 direction
+        return {"a": (F(1, 7), F(2)), "b": (F(1, 7) + d * F(3, 5), F(2) + d * F(4, 5))}
+
+    eps = F(1, 3)
+    for d, fits in (
+        (5 + eps, True),  # d = l + eps exactly
+        (5 - eps, True),  # d = l - eps exactly
+        (5 + eps + F(1, 10**30), False),
+        (5 - eps - F(1, 10**30), False),
+    ):
+        assert configuration_membership(bar, at(d), eps) is fits, d
+        assert reference_membership(bar, at(d), eps) is fits, d
+    # l < eps: no floor, only the upper band l + eps
+    short = mk_linkage([("e1", "a", "b", F(1, 10))])
+    for d, fits in ((0, True), (F(7, 20), True), (F(7, 20) + F(1, 10**30), False)):
+        assert configuration_membership(short, at(d), F(1, 4)) is fits, d
+    # eps = 0: only the exact length, a zero bar only at one point
+    assert configuration_membership(bar, at(5), 0)
+    assert not configuration_membership(bar, at(5 + F(1, 10**30)), 0)
+    zero = mk_linkage([("z", "a", "b", 0)])
+    assert configuration_membership(zero, at(0), 0)
+    assert not configuration_membership(zero, at(F(1, 10**30)), 0)
+
+
+def test_contact_scans_build_the_lattice_lazily(monkeypatch):
+    L, C = random_linkage(random.Random(4300), 6, 6)
+    calls = count_calls(monkeypatch, linkfold.geometry, ("lattice",))
+    Cx = Configuration(L, dict(C.placement), F(1, 10))
+    assert configuration_membership(L, Cx.placement, F(1, 10))
+    certify_epsilon(L, Cx.placement, F(1, 10**12))
+    assert calls["lattice"] == 0  # construction and membership stay per edge
+    touch_witness(L, Cx)
+    check_macroscopic(L, Cx)
+    touch_witness(L, Cx)
+    assert calls["lattice"] == 1  # one lattice per configuration, kept
+
+
+def _zigzag64():
+    xs = [0]
+    for k in range(64):
+        xs.append(xs[-1] + (3 if k % 2 == 0 else -2))
+    return layered_strip(xs)
+
+
+def test_touch_witness_tests_only_box_overlapping_pairs(monkeypatch):
+    L, C, heights = _zigzag64()
+    res = perturb(L, C, annotation_from_layers(L, C, heights), F(1, 256))
+    Lp, Cp = res.linkage, res.configuration
+    segs = [s for s in map(Cp.segment, Lp.edges) if s[0] != s[1]]
+    kept = len(closed_box_pairs(segs))
+    assert len(segs) == 127 and kept < 8001 // 10
+    calls = count_calls(monkeypatch, linkfold.geometry, ("properly_cross",))
+    assert touch_witness(Lp, Cp) is None
+    assert 0 < calls["properly_cross"] <= kept
+
+
+def test_macroscopic_tests_only_box_overlapping_pairs(monkeypatch):
+    L, C, _ = _zigzag64()
+    kept = len(closed_box_pairs([C.segment(e) for e in L.edges]))
+    assert kept < 64 * 63 // 2 // 4
+    calls = count_calls(monkeypatch, linkfold.geometry, ("properly_cross",))
+    assert check_macroscopic(L, C).status == "pass"
+    assert 0 < calls["properly_cross"] <= kept
 
 
 def test_extend_reduce_round_trip():
