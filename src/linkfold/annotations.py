@@ -30,41 +30,33 @@ Segment = tuple[Point, Point]
 Line = tuple[int, int, int]  # canonical a x + b y = c
 
 
-def _clamp01(x: Fraction) -> Fraction:
-    if x < 0:
-        return Fraction(0)
-    if x > 1:
-        return Fraction(1)
-    return x
-
-
-def _clipped_span(
-    xa: Fraction, ya: Fraction, xb: Fraction, yb: Fraction, scale: Fraction, side: int
-) -> Fraction:
-    """Fraction of e1's span covered by e2 clipped to one closed half-plane.
+def _clipped_span(xa, ya, xb, yb, scale, side: int):
+    """Stretch of e1's span covered by e2 clipped to one closed half-plane.
 
     Coordinates are in the frame scaled by |e1|: x runs over [0, scale]
     along e1, y is the (scaled) signed offset. side selects y >= 0 or
-    y <= 0.
+    y <= 0. The stretch is measured in the same scaled units, so integer
+    inputs need no division until the caller's.
     """
     sa, sb = side * ya, side * yb
     if sa < 0 and sb < 0:
-        return Fraction(0)
+        return 0
     if sa >= 0 and sb >= 0:
         x1, x2 = xa, xb
     else:
-        # crossing parameter of the y = 0 line along the segment
-        t = sa / (sa - sb)
-        xc = xa + t * (xb - xa)
+        # where the segment crosses the y = 0 line
+        xc = Fraction(sa * xb - sb * xa, sa - sb)
         x1, x2 = (xc, xb) if sa < 0 else (xa, xc)
-    return abs(_clamp01(x2 / scale) - _clamp01(x1 / scale))
+    return abs(min(max(x2, 0), scale) - min(max(x1, 0), scale))
 
 
 def ord_value(e1: Segment, e2: Segment) -> SqrtRational:
     """Signed overlap of e2 over e1: left span minus right span.
 
     Degenerate e1 gives 0. The result is (r+ - r-) * |e1| with rational
-    r terms, hence exactly representable.
+    r terms, hence exactly representable. The r terms do not change when
+    every point is scaled by D > 0, so neither does the sign, and integer
+    lattice images give it with integer arithmetic.
     """
     t1, h1 = e1
     d = vsub(h1, t1)
@@ -77,7 +69,7 @@ def ord_value(e1: Segment, e2: Segment) -> SqrtRational:
     xb, yb = dot(qb, d), cross(d, qb)
     r_plus = _clipped_span(xa, ya, xb, yb, scale, +1)
     r_minus = _clipped_span(xa, ya, xb, yb, scale, -1)
-    return SqrtRational(r_plus - r_minus, scale)
+    return SqrtRational(Fraction(r_plus - r_minus, scale), scale)
 
 
 def overlap_length(e1: Segment, e2: Segment) -> SqrtRational:
@@ -127,6 +119,28 @@ def bars_by_line(segs) -> dict[Line, list[tuple[Fraction, Fraction, int]]]:
     return groups
 
 
+def stations_by_line(lines, points) -> dict[Line, list[tuple[int, tuple]]]:
+    """For each canonical line, the points on it as sorted (param, point).
+
+    Points are integer lattice images, and params run along the line's
+    canonical direction, as in bars_by_line. Parallel lines share one
+    pass over the points: a x + b y is computed once per direction.
+    """
+    by_normal: dict[tuple[int, int], set[int]] = {}
+    for a, b, c in lines:
+        by_normal.setdefault((a, b), set()).add(c)
+    out: dict[Line, list[tuple[int, tuple]]] = {line: [] for line in lines}
+    for (a, b), cs in by_normal.items():
+        dx, dy = canonical_line_direction((a, b, 0))
+        for p in points:
+            c = a * p[0] + b * p[1]
+            if c in cs:
+                out[(a, b, c)].append((p[0] * dx + p[1] * dy, p))
+    for stations in out.values():
+        stations.sort()
+    return out
+
+
 def overlapping_pairs(segs) -> dict[tuple[int, int], SqrtRational]:
     """Positive overlap_length of every overlapping ordered pair, row-major.
 
@@ -148,8 +162,13 @@ def overlapping_pairs(segs) -> dict[tuple[int, int], SqrtRational]:
     ordered = sorted(pairs + [(j, i) for i, j in pairs])
     out = {(i, j): overlap_length(isegs[i], isegs[j]) for i, j in ordered}
     if D != 1:
+        # a square radicand is 1 on both sides; any other stays no square
         for key, v in out.items():
-            out[key] = SqrtRational(v.coeff, Fraction(v.radicand, D * D))
+            if v.radicand == 1:
+                out[key] = SqrtRational._normal(v.coeff / D, v.radicand)
+            else:
+                r = Fraction(v.radicand.numerator, D * D)
+                out[key] = SqrtRational._normal(v.coeff, r)
     return out
 
 

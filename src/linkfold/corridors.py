@@ -8,18 +8,19 @@ must extend to a consistent global layering of the corridor.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .annotations import AnnotationMatrix, bars_by_line
+from .annotations import AnnotationMatrix, bars_by_line, stations_by_line
 from .errors import CorridorError
 from .geometry import (
     Point,
     angle_descending_key,
+    canonical_line,
     canonical_line_direction,
     cross,
     dot,
-    point_on_line,
     primitive_direction,
     rot90ccw,
     sign,
@@ -49,38 +50,44 @@ class Corridor:
 
 
 def corridors(linkage: Linkage, configuration: Configuration) -> tuple[Corridor, ...]:
-    """Group positive bars by supporting line and cut into covered segments."""
+    """Group positive bars by supporting line and cut into covered segments.
+
+    Grouping and cutting run on the configuration's integer lattice: the
+    locations on each line are sorted once, and each bar covers the run
+    of cuts between its two endpoint stations. Lines, directions and
+    cut points are reported in the input's units.
+    """
     require_conf0(configuration)
     C = configuration
-    groups = bars_by_line([C.segment(e) for e in linkage.edges])
+    images = C.lattice()
+    where = {img: C.placement[v] for v, img in images.items()}
+    groups = bars_by_line([(images[e.tail], images[e.head]) for e in linkage.edges])
+    stations = stations_by_line(groups, where)
     out = []
-    for line in sorted(groups):
-        bars = sorted(i for _, _, i in groups[line])
-        spans = {i: (lo, hi) for lo, hi, i in groups[line]}
-        direction = canonical_line_direction(line)
-        dvec = (Fraction(direction[0]), Fraction(direction[1]))
-        param_to_point = {
-            dot(p, dvec): p for p in set(C.placement.values()) if point_on_line(p, line)
-        }
-        ordered = sorted(param_to_point)
-        segments = []
-        for sa, sb in zip(ordered, ordered[1:]):
-            covering = tuple(
-                i for i in bars if spans[i][0] <= sa and sb <= spans[i][1]
-            )
-            if covering:
-                segments.append(
-                    CorridorSegment(param_to_point[sa], param_to_point[sb], covering)
-                )
+    for lattice_line, group in groups.items():
+        params = [s for s, _ in stations[lattice_line]]
+        cuts = [p for _, p in stations[lattice_line]]
+        covering: list[list[int]] = [[] for _ in cuts[1:]]
+        bars = sorted((i, lo, hi) for lo, hi, i in group)
+        for i, lo, hi in bars:
+            for k in range(bisect_left(params, lo), bisect_left(params, hi)):
+                covering[k].append(i)
+        segments = tuple(
+            CorridorSegment(where[p], where[q], tuple(cover))
+            for p, q, cover in zip(cuts, cuts[1:], covering)
+            if cover
+        )
+        direction = canonical_line_direction(lattice_line)
         out.append(
             Corridor(
-                line,
+                canonical_line(*C.segment(linkage.edges[bars[0][0]])),
                 direction,
                 rot90ccw(direction),
-                tuple(bars),
-                tuple(segments),
+                tuple(i for i, _, _ in bars),
+                segments,
             )
         )
+    out.sort(key=lambda c: c.line)
     return tuple(out)
 
 
@@ -103,12 +110,11 @@ def corridor_order(
     direction; the first segment whose constraints close a cycle is
     reported in the error.
     """
-    C = configuration
-    dvec = (Fraction(corridor.direction[0]), Fraction(corridor.direction[1]))
+    images = configuration.lattice()
     orient = {}
     for i in corridor.bars:
-        a, b = C.segment(linkage.edges[i])
-        orient[i] = sign(dot(vsub(b, a), dvec))
+        e = linkage.edges[i]
+        orient[i] = sign(dot(vsub(images[e.head], images[e.tail]), corridor.direction))
 
     above: dict[int, set[int]] = {i: set() for i in corridor.bars}
     for seg in corridor.segments:

@@ -325,8 +325,10 @@ def resolve_annotations(
                 path,
             )
         values[(i, j)] = overlaps[(i, j)].scale(entry.layer)
-        di = vsub(segs[i][1], segs[i][0])
-        dj = vsub(segs[j][1], segs[j][0])
+        # the reverse pair's flip is a sign, read on the integer lattice
+        images, ei, ej = configuration.lattice(), linkage.edges[i], linkage.edges[j]
+        di = vsub(images[ei.head], images[ei.tail])
+        dj = vsub(images[ej.head], images[ej.tail])
         flip = -sign(dot(di, dj))
         fills.append((j, i, overlaps[(j, i)].scale(flip * entry.layer)))
     for j, i, val in fills:

@@ -119,9 +119,10 @@ def primitive_direction(v: Vec) -> tuple[int, int]:
     """Shortest integer vector with the same direction as v (v != 0)."""
     if v[0] == 0 and v[1] == 0:
         raise ValueError("zero vector has no direction")
-    den = math.lcm(v[0].denominator, v[1].denominator)
-    ix = int(v[0] * den)
-    iy = int(v[1] * den)
+    xd, yd = v[0].denominator, v[1].denominator
+    den = math.lcm(xd, yd)
+    ix = v[0].numerator * (den // xd)
+    iy = v[1].numerator * (den // yd)
     g = math.gcd(ix, iy)
     return (ix // g, iy // g)
 
@@ -164,11 +165,11 @@ def canonical_line(p: Point, q: Point) -> tuple[int, int, int]:
     collinear segments land on the identical triple.
     """
     d = vsub(q, p)
-    if d == (Fraction(0), Fraction(0)):
+    if d == (0, 0):
         raise ValueError("degenerate segment has no supporting line")
     n = rot90ccw(d)
     a, b = primitive_direction(n)
-    c = Fraction(a) * p[0] + Fraction(b) * p[1]
+    c = a * p[0] + b * p[1]
     m = c.denominator
     ia, ib, ic = a * m, b * m, c.numerator
     g = math.gcd(math.gcd(abs(ia), abs(ib)), abs(ic))

@@ -175,11 +175,18 @@ def _rationalized_snapshot(
     return placement, max_d2
 
 
-def _sign_check(prep: _Prepared, snapshot: dict, da: Fraction) -> tuple | None:
-    """Annotation signs must survive on pairs with robust overlaps."""
+def _sign_check(
+    prep: _Prepared, cdelta: Configuration, da: Fraction
+) -> tuple | None:
+    """Annotation signs must survive on pairs with robust overlaps.
+
+    ord_value keeps its sign when every point is scaled by D > 0, so the
+    signs are read on the snapshot's integer lattice.
+    """
     linkage = prep.linkage
+    images = cdelta.lattice()
     new_segs = [
-        (snapshot[e.tail], snapshot[e.head])
+        (images[e.tail], images[e.head])
         for e in prep.extended.edges[: len(linkage.edges)]
     ]
     for (i, j), ov in prep.overlaps.items():
@@ -269,7 +276,7 @@ def _attempt(
         if witness is not None:
             offending = witness
             continue
-        sig = _sign_check(prep, snapshot, da)
+        sig = _sign_check(prep, cdelta, da)
         if sig is not None:
             offending = sig
             continue

@@ -114,11 +114,11 @@ class SqrtRational:
     radicand: Fraction
 
     def __init__(self, coeff: Scalar, radicand: Scalar = 1) -> None:
-        c = Fraction(coeff)
-        r = Fraction(radicand)
-        if r < 0:
+        c = coeff if type(coeff) is Fraction else Fraction(coeff)
+        r = radicand if type(radicand) is Fraction else Fraction(radicand)
+        if r.numerator < 0:
             raise ValueError("negative radicand")
-        if c == 0 or r == 0:
+        if not c or not r:
             c, r = Fraction(0), Fraction(0)
         else:
             rn = math.isqrt(r.numerator)
@@ -127,6 +127,18 @@ class SqrtRational:
                 c, r = c * Fraction(rn, rd), Fraction(1)
         object.__setattr__(self, "coeff", c)
         object.__setattr__(self, "radicand", r)
+
+    @classmethod
+    def _normal(cls, coeff: Fraction, radicand: Fraction) -> "SqrtRational":
+        """Value with fields that are already normal, stored as given.
+
+        The caller guarantees what __init__ would produce: Fractions,
+        (0, 0) for zero, and a radicand that is 1 or no perfect square.
+        """
+        v = object.__new__(cls)
+        object.__setattr__(v, "coeff", coeff)
+        object.__setattr__(v, "radicand", radicand)
+        return v
 
     # (sign, signed square) is a total order key across representations
     def _key(self) -> tuple[int, Fraction]:
@@ -147,16 +159,17 @@ class SqrtRational:
         return self.coeff
 
     def sign(self) -> int:
-        return (self.coeff > 0) - (self.coeff < 0)
+        n = self.coeff.numerator
+        return (n > 0) - (n < 0)
 
     def __float__(self) -> float:
         return float(self.coeff) * math.sqrt(float(self.radicand or 1))
 
     def __neg__(self) -> "SqrtRational":
-        return SqrtRational(-self.coeff, self.radicand or 1)
+        return SqrtRational._normal(-self.coeff, self.radicand)
 
     def __abs__(self) -> "SqrtRational":
-        return SqrtRational(abs(self.coeff), self.radicand or 1)
+        return SqrtRational._normal(abs(self.coeff), self.radicand)
 
     def __add__(self, other: "SqrtRational") -> "SqrtRational":
         if not isinstance(other, SqrtRational):
@@ -178,10 +191,18 @@ class SqrtRational:
         return self + (-other)
 
     def scale(self, factor: Scalar) -> "SqrtRational":
-        return SqrtRational(self.coeff * Fraction(factor), self.radicand or 1)
+        # a nonzero factor keeps the radicand normal
+        if not isinstance(factor, (int, Fraction)):
+            factor = Fraction(factor)
+        if factor == 0:
+            return SqrtRational(0)
+        return SqrtRational._normal(self.coeff * factor, self.radicand)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, SqrtRational):
+            # zero is (0, 0), so equal radicands compare by coefficient
+            if self.radicand == other.radicand:
+                return self.coeff == other.coeff
             return self._key() == other._key()
         if isinstance(other, (int, Fraction)):
             return self._key() == SqrtRational(other)._key()

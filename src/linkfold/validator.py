@@ -9,14 +9,21 @@ direct-connection classes in any of those orders.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .annotations import AnnotationMatrix, ord_value, strict_crossing
+from .annotations import (
+    AnnotationMatrix,
+    bars_by_line,
+    ord_value,
+    stations_by_line,
+    strict_crossing,
+)
 from .errors import AnnotationError
 from .geometry import (
     angle_descending_key,
     box_pairs,
-    in_open_segment,
+    canonical_line,
     primitive_direction,
     vsub,
 )
@@ -56,29 +63,45 @@ class MagnifiedView:
 def magnified_views(
     linkage: Linkage, configuration: Configuration
 ) -> tuple[MagnifiedView, ...]:
-    """Local pictures at every occupied location of an exact configuration."""
+    """Local pictures at every occupied location of an exact configuration.
+
+    Built on the configuration's integer lattice. Each positive bar gives
+    an endpoint germ at both of its ends and a pair of pass germs at each
+    location strictly inside it, found by sweeping its line's bars over
+    the locations on that line; each location lists its germs in edge
+    order.
+    """
     require_conf0(configuration)
     C = configuration
     part = merged_vertex_partition(linkage)
-    locations = sorted(set(C.placement.values()))
+    images = C.lattice()
+    where = {img: C.placement[v] for v, img in images.items()}
+    germs = {img: [] for img in where}  # (edge index, its germs) per location
+    segs = [(images[e.tail], images[e.head]) for e in linkage.edges]
+    ahead: dict[int, IntVec] = {}  # primitive direction tail -> head
+    for i, (e, (a, b)) in enumerate(zip(linkage.edges, segs)):
+        if a == b:
+            continue
+        u = ahead[i] = primitive_direction(vsub(b, a))
+        back = (-u[0], -u[1])
+        germs[a].append((i, (Inbound(i, e.id, u, -1, e.tail, "endpoint"),)))
+        germs[b].append((i, (Inbound(i, e.id, back, +1, e.head, "endpoint"),)))
+    by_line = bars_by_line(segs)
+    for line, stations in stations_by_line(by_line, where).items():
+        params = [s for s, _ in stations]
+        for lo, hi, i in by_line[line]:
+            u, eid = ahead[i], linkage.edges[i].id
+            halves = (
+                Inbound(i, eid, (-u[0], -u[1]), +1, None, "pass"),
+                Inbound(i, eid, u, -1, None, "pass"),
+            )
+            for _, p in stations[bisect_right(params, lo) : bisect_left(params, hi)]:
+                germs[p].append((i, halves))
+
     views = []
-    for p in locations:
-        inbounds: list[Inbound] = []
-        for i, e in enumerate(linkage.edges):
-            a, b = C.segment(e)
-            if a == b:
-                continue
-            if a == p:
-                u = primitive_direction(vsub(b, p))
-                inbounds.append(Inbound(i, e.id, u, -1, e.tail, "endpoint"))
-            elif b == p:
-                u = primitive_direction(vsub(a, p))
-                inbounds.append(Inbound(i, e.id, u, +1, e.head, "endpoint"))
-            elif in_open_segment(p, a, b):
-                ut = primitive_direction(vsub(a, p))
-                uh = primitive_direction(vsub(b, p))
-                inbounds.append(Inbound(i, e.id, ut, +1, None, "pass"))
-                inbounds.append(Inbound(i, e.id, uh, -1, None, "pass"))
+    for img in sorted(where):
+        p = where[img]
+        inbounds = [ib for _, pair in sorted(germs[img]) for ib in pair]
 
         # germs connect directly through one merged vertex or as the two
         # halves of one passing bar; classes are numbered by first germ
@@ -129,13 +152,18 @@ class Verdict:
 def check_macroscopic(linkage: Linkage, configuration: Configuration) -> CheckReport:
     """No two bars may cross transversally through interior points.
 
-    A crossing lies in both bars' closed bounding boxes, so only the
-    pairs the box sweep keeps are tested, on the integer lattice and in
-    the order of the pairwise double loop.
+    A crossing lies in both bars' closed bounding boxes, and two bars on
+    one line never cross strictly, so only the pairs the box sweep keeps
+    across distinct lines are tested, on the integer lattice and in the
+    order of the pairwise double loop.
     """
     images = configuration.lattice()
     segs = [(images[e.tail], images[e.head]) for e in linkage.edges]
+    # a point bar crosses nothing, so it has no line to test against
+    lines = [canonical_line(a, b) if a != b else None for a, b in segs]
     for i, j in box_pairs(segs):
+        if lines[i] is None or lines[j] is None or lines[i] == lines[j]:
+            continue
         if strict_crossing(segs[i], segs[j]):
             return CheckReport(
                 "macroscopic",

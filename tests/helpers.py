@@ -17,17 +17,23 @@ from linkfold.adornments import AdornedChain, Adornment, adorned_chain_to_linkag
 from linkfold.annotations import (
     AnnotationMatrix,
     annotate,
+    bars_by_line,
     ord_value,
     overlap_length,
     strict_crossing,
 )
+from linkfold.corridors import Corridor, CorridorSegment
 from linkfold.geometry import (
+    angle_descending_key,
     canonical_line,
     canonical_line_direction,
     cross,
     dot,
     in_open_segment,
+    point_on_line,
+    primitive_direction,
     properly_cross,
+    rot90ccw,
     sign,
     sqdist,
     sqnorm,
@@ -56,7 +62,14 @@ from linkfold.semialgebra import (
     Poly,
     TaggedAssert,
 )
-from linkfold.validator import CheckReport, WellOrderResult, _beats, _find_cycle
+from linkfold.validator import (
+    CheckReport,
+    Inbound,
+    MagnifiedView,
+    WellOrderResult,
+    _beats,
+    _find_cycle,
+)
 
 F = Fraction
 DOCS_DIR = Path(__file__).parent / "data" / "docs"
@@ -320,6 +333,39 @@ def corpus_geometries():
             else:
                 A = AnnotationMatrix.from_segments([C.segment(e) for e in L.edges])
             out.append((path.stem, L, C, A))
+    return out
+
+
+def sweep_inputs(rng: random.Random, flats=150, contacts=150):
+    """Exact (L, C) inputs for the view and corridor oracles.
+
+    Every exact corpus geometry; random layered flats in random rational
+    frames; random trees, half of them with zero-length clusters glued
+    on, with isolated vertices and zero-bar pairs dropped onto their
+    bars (T-contacts, so pass germs) or next to them.
+    """
+    out = [(L, C) for _, L, C, _ in corpus_geometries() if C.is_exact()]
+    for _ in range(flats):
+        L, C, _ = random_layered_flat(rng, rng.randint(2, 12))
+        out.append((L, C))
+    for k in range(contacts):
+        L, C = random_zero_linkage(rng) if k % 2 else random_linkage(rng, 3, 7)
+        vertices, edges = list(L.vertices), list(L.edges)
+        P = dict(C.placement)
+        for m in range(rng.randint(0, 4)):
+            e = rng.choice(L.edges)
+            (ax, ay), (bx, by) = C.segment(e)
+            t = F(rng.randint(-4, 12), 8)
+            v = f"i{m}"
+            vertices.append(v)
+            P[v] = (ax + t * (bx - ax), ay + t * (by - ay))
+            if rng.random() < 0.4:
+                vertices.append(f"j{m}")
+                P[f"j{m}"] = P[v]
+                edges.append(Edge(f"z{m}", v, f"j{m}", F(0)))
+        rng.shuffle(vertices)
+        Lx = Linkage(tuple(vertices), tuple(edges))
+        out.append((Lx, Configuration(Lx, P)))
     return out
 
 
@@ -655,6 +701,143 @@ def closed_box_pairs(segs):
         for j, (bx0, by0, bx1, by1) in enumerate(boxes)
         if i < j and ax0 <= bx1 and bx0 <= ax1 and ay0 <= by1 and by0 <= ay1
     ]
+
+
+def _ref_clamp01(x):
+    if x < 0:
+        return Fraction(0)
+    if x > 1:
+        return Fraction(1)
+    return x
+
+
+def _ref_clipped_span(xa, ya, xb, yb, scale, side):
+    sa, sb = side * ya, side * yb
+    if sa < 0 and sb < 0:
+        return Fraction(0)
+    if sa >= 0 and sb >= 0:
+        x1, x2 = xa, xb
+    else:
+        t = sa / (sa - sb)
+        xc = xa + t * (xb - xa)
+        x1, x2 = (xc, xb) if sa < 0 else (xa, xc)
+    return abs(_ref_clamp01(x2 / scale) - _ref_clamp01(x1 / scale))
+
+
+def reference_ord_value(e1, e2):
+    """ord_value by Fraction division and clamping to [0, 1], as an oracle.
+
+    Takes Fraction points only.
+    """
+    t1, h1 = e1
+    d = vsub(h1, t1)
+    scale = sqnorm(d)
+    if scale == 0:
+        return SqrtRational(0)
+    qa = vsub(e2[0], t1)
+    qb = vsub(e2[1], t1)
+    xa, ya = dot(qa, d), cross(d, qa)
+    xb, yb = dot(qb, d), cross(d, qb)
+    r_plus = _ref_clipped_span(xa, ya, xb, yb, scale, +1)
+    r_minus = _ref_clipped_span(xa, ya, xb, yb, scale, -1)
+    return SqrtRational(r_plus - r_minus, scale)
+
+
+def reference_sign_check(prep, snapshot, da):
+    """perturb's sign check on the snapshot's Fraction points, as an oracle."""
+    linkage = prep.linkage
+    new_segs = [
+        (snapshot[e.tail], snapshot[e.head])
+        for e in prep.extended.edges[: len(linkage.edges)]
+    ]
+    for (i, j), ov in prep.overlaps.items():
+        want = prep.annotation.value(i, j).sign()
+        got = reference_ord_value(new_segs[i], new_segs[j]).sign()
+        if got == want:
+            continue
+        if got == 0 and ov < 4 * da:
+            continue
+        return ("sign flipped", linkage.edges[i].id, linkage.edges[j].id)
+    return None
+
+
+def reference_magnified_views(linkage, configuration):
+    """magnified_views by scanning every location against every edge.
+
+    The Fraction body the lattice sweep replaced, kept as an oracle.
+    """
+    require_conf0(configuration)
+    C = configuration
+    part = merged_vertex_partition(linkage)
+    views = []
+    for p in sorted(set(C.placement.values())):
+        inbounds = []
+        for i, e in enumerate(linkage.edges):
+            a, b = C.segment(e)
+            if a == b:
+                continue
+            if a == p:
+                u = primitive_direction(vsub(b, p))
+                inbounds.append(Inbound(i, e.id, u, -1, e.tail, "endpoint"))
+            elif b == p:
+                u = primitive_direction(vsub(a, p))
+                inbounds.append(Inbound(i, e.id, u, +1, e.head, "endpoint"))
+            elif in_open_segment(p, a, b):
+                ut = primitive_direction(vsub(a, p))
+                uh = primitive_direction(vsub(b, p))
+                inbounds.append(Inbound(i, e.id, ut, +1, None, "pass"))
+                inbounds.append(Inbound(i, e.id, uh, -1, None, "pass"))
+        number = {}
+        class_of = [
+            number.setdefault(
+                ("pass", ib.edge_index)
+                if ib.vertex is None
+                else ("vertex", part.class_of[ib.vertex]),
+                len(number),
+            )
+            for ib in inbounds
+        ]
+        groups = {}
+        for k, ib in enumerate(inbounds):
+            groups.setdefault(ib.direction, []).append(k)
+        entrances = tuple(
+            (d, tuple(groups[d])) for d in sorted(groups, key=angle_descending_key)
+        )
+        views.append(MagnifiedView(p, tuple(inbounds), tuple(class_of), entrances))
+    return tuple(views)
+
+
+def reference_corridors(linkage, configuration):
+    """corridors by testing every bar of a line against every cut on it.
+
+    The Fraction body the lattice station sweep replaced, kept as an oracle.
+    """
+    require_conf0(configuration)
+    C = configuration
+    groups = bars_by_line([C.segment(e) for e in linkage.edges])
+    out = []
+    for line in sorted(groups):
+        bars = sorted(i for _, _, i in groups[line])
+        spans = {i: (lo, hi) for lo, hi, i in groups[line]}
+        direction = canonical_line_direction(line)
+        dvec = (Fraction(direction[0]), Fraction(direction[1]))
+        param_to_point = {
+            dot(p, dvec): p for p in set(C.placement.values()) if point_on_line(p, line)
+        }
+        ordered = sorted(param_to_point)
+        segments = []
+        for sa, sb in zip(ordered, ordered[1:]):
+            covering = tuple(
+                i for i in bars if spans[i][0] <= sa and sb <= spans[i][1]
+            )
+            if covering:
+                segments.append(
+                    CorridorSegment(param_to_point[sa], param_to_point[sb], covering)
+                )
+        out.append(
+            Corridor(line, direction, rot90ccw(direction), tuple(bars), tuple(segments))
+        )
+    return tuple(out)
 
 
 def nontouch_oracle(linkage, placement):

@@ -12,6 +12,7 @@ from helpers import (
     mk_linkage,
     random_layered_flat,
     random_sa_instance,
+    reference_ord_value,
     reference_overlapping_pairs,
     straight_chain,
     zero_cluster_star,
@@ -332,3 +333,33 @@ def test_annotation_matrix_overrides_over_defaults():
     assert A.overlaps(segs) is A.overlaps(tuple(segs))  # kept, not rescanned
     with pytest.raises(AnnotationError):
         AnnotationMatrix.from_segments(segs, {(1, 1): SqrtRational(1)})
+
+
+def _near(rng, x, den):
+    return x + F(rng.randint(-den, den), den)
+
+
+def test_ord_value_sign_on_lattice_images_huge_denominators():
+    # e2 is e1 moved by a few units of 1/den along and across it, maybe
+    # reversed or turned: the sign on the lattice images D*p is the sign
+    # on the Fractions, and the Fraction value is the old division body's
+    rng = random.Random(19)
+    signs = {-1: 0, 0: 0, 1: 0}
+    for k in range(400):
+        den = 10**12 + rng.randint(0, 999) if k % 2 else 10**400 + rng.randint(0, 999)
+        dx, dy, _ = rng.choice(RATIONAL_DIRS)
+        t1 = (_near(rng, F(rng.randint(-5, 5)), den), _near(rng, F(1, 3), den))
+        h1 = (t1[0] + dx * F(rng.randint(1, 4), 3), t1[1] + dy * F(rng.randint(1, 4), 3))
+        u, w = rng.randint(-3, 3), rng.choice([-2, -1, 0, 0, 1, 2])
+        shift = (F(u * dx - w * dy, den), F(u * dy + w * dx, den))
+        t2 = (t1[0] + shift[0], t1[1] + shift[1])
+        h2 = (h1[0] + shift[0], h1[1] + shift[1])
+        if rng.random() < 0.3:
+            h2 = (_near(rng, h2[0], den), _near(rng, h2[1], den))
+        e1, e2 = (t1, h1), ((h2, t2) if rng.random() < 0.5 else (t2, h2))
+        v, ref = ord_value(e1, e2), reference_ord_value(e1, e2)
+        assert (v.coeff, v.radicand) == (ref.coeff, ref.radicand)
+        images = lattice((*e1, *e2))[1]
+        assert ord_value(tuple(images[:2]), tuple(images[2:])).sign() == v.sign()
+        signs[v.sign()] += 1
+    assert min(signs.values()) >= 40, signs

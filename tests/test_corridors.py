@@ -17,9 +17,11 @@ from helpers import (
     perturbation_corpus,
     random_layered_flat,
     random_linkage,
+    reference_corridors,
     reference_delta_bound,
     spiral4,
     straight_chain,
+    sweep_inputs,
     zipper5,
 )
 from linkfold.annotations import AnnotationMatrix, annotate
@@ -96,6 +98,23 @@ def test_corridor_requires_exact():
     slack = Configuration(L, {"a": (0, 0), "b": (F(11, 10), 0)}, F(1, 10))
     with pytest.raises(Exception):
         corridors(L, slack)
+
+
+def test_corridors_match_cut_reference():
+    # lattice station sweep against the every-bar-every-cut Fraction body,
+    # field by field; the inputs reach several lines and cut runs
+    lines = runs = 0
+    for L, C in sweep_inputs(random.Random(4500)):
+        got, want = corridors(L, C), reference_corridors(L, C)
+        assert [c.line for c in got] == [c.line for c in want]
+        for g, w in zip(got, want):
+            assert g.segments == w.segments, g.line
+            assert all(type(x) is F for s in g.segments for x in s.start + s.end)
+            assert g.bars == w.bars, g.line
+            assert (g.direction, g.normal) == (w.direction, w.normal)
+        lines += len(got) > 1
+        runs += sum(len(c.segments) > 2 for c in got)
+    assert lines >= 100 and runs >= 100, (lines, runs)
 
 
 def test_corridor_order_doubled_chain():

@@ -38,6 +38,7 @@ import linkfold.linkage
 from linkfold.adornments import adorned_chain_to_linkage
 from linkfold.chains import canonical_closed, convex_interpolate
 from linkfold.errors import ChainError, LinkageError, PerturbationError
+from linkfold.geometry import canonical_line
 from linkfold.linkage import (
     Configuration,
     Edge,
@@ -591,7 +592,31 @@ def test_macroscopic_tests_only_box_overlapping_pairs(monkeypatch):
     assert kept < 64 * 63 // 2 // 4
     calls = count_calls(monkeypatch, linkfold.geometry, ("properly_cross",))
     assert check_macroscopic(L, C).status == "pass"
-    assert 0 < calls["properly_cross"] <= kept
+    assert calls["properly_cross"] == 0  # one line: no pair can cross
+
+
+def test_macroscopic_tests_only_pairs_across_lines(monkeypatch):
+    # two zigzags fanning out of the origin along distinct lines: every
+    # box-overlapping pair across the lines is tested, none within one
+    xs = [0, 3, 1, 4, 2, 5, 3]
+    specs, coords = [], {}
+    for tag, frame in (("a", (1, 0, 1)), ("b", (3, 4, 5))):
+        Ls, Cs, _ = layered_strip(xs, frame=(frame, (0, 0)))
+        specs += [(tag + e.id, tag + e.tail, tag + e.head, e.rest_length) for e in Ls.edges]
+        coords.update({tag + v: p for v, p in Cs.placement.items()})
+    L = mk_linkage(specs)
+    C = conf(L, coords)
+    segs = [C.segment(e) for e in L.edges]
+    across = [
+        (i, j)
+        for i, j in closed_box_pairs(segs)
+        if canonical_line(*segs[i]) != canonical_line(*segs[j])
+    ]
+    assert 0 < len(across) < len(closed_box_pairs(segs))
+    assert check_macroscopic(L, C) == reference_check_macroscopic(L, C)
+    calls = count_calls(monkeypatch, linkfold.geometry, ("properly_cross",))
+    assert check_macroscopic(L, C).status == "pass"
+    assert calls["properly_cross"] == len(across)
 
 
 def test_extend_reduce_round_trip():

@@ -1,6 +1,10 @@
 """Perturbation construction: exact certificates, sign stability, probes."""
 
+import collections
+import dataclasses
+import importlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,10 +17,12 @@ from helpers import (
     interleave_gadget,
     mk_linkage,
     perturbation_corpus,
+    random_layered_flat,
     reference_is_nontouching,
+    reference_sign_check,
     straight_chain,
 )
-from linkfold.annotations import annotate, ord_value, overlap_length
+from linkfold.annotations import AnnotationMatrix, annotate, ord_value, overlap_length
 from linkfold.corridors import delta_bound
 from linkfold.errors import PerturbationError, ValidationFailure
 from linkfold.geometry import sqdist
@@ -117,6 +123,42 @@ def test_perturb_sign_stability():
                         (snap[ej.tail], snap[ej.head]),
                     ).sign()
                     assert got == want, (name, ei.id, ej.id)
+
+
+def test_sign_check_matches_fraction_reference_on_perturb_attempts(monkeypatch):
+    # every snapshot perturb sign-checks, hinged flats included, read on
+    # the lattice and on the snapshot's Fractions; a copy of the
+    # annotation with some overlapping entries negated reaches the
+    # "sign flipped" witness too
+    rng, flips = random.Random(4200), random.Random(4600)
+    module = importlib.import_module("linkfold.perturb")
+    sign_check = module._sign_check
+    outcomes = collections.Counter()
+
+    def checked(prep, cdelta, da):
+        got = sign_check(prep, cdelta, da)
+        assert got == reference_sign_check(prep, cdelta.placement, da)
+        rows = [list(row) for row in prep.annotation.entries]
+        for i, j in prep.overlaps:
+            if flips.random() < 0.3:
+                rows[i][j] = -rows[i][j]
+        flipped = dataclasses.replace(prep, annotation=AnnotationMatrix.from_rows(rows))
+        bad = sign_check(flipped, cdelta, da)
+        assert bad == reference_sign_check(flipped, cdelta.placement, da)
+        outcomes[got, bad is None] += 1
+        return got
+
+    monkeypatch.setattr(module, "_sign_check", checked)
+    hinged = 0
+    for _ in range(40):
+        L, C, heights = random_layered_flat(rng, rng.randint(2, 9))
+        hinged += any(e.rest_length == 0 for e in L.edges)
+        try:
+            perturb(L, C, annotation_from_layers(L, C, heights), F(1, 4 * len(L.edges)))
+        except PerturbationError:
+            pass
+    assert hinged >= 8, hinged
+    assert outcomes[None, False] >= 20 and outcomes.total() >= 30, outcomes
 
 
 def test_perturb_offsets_bounded():

@@ -136,3 +136,76 @@ def test_surd_mixed_comparisons():
     assert SqrtRational(-1, 2).sign() == -1
     assert SqrtRational(0).sign() == 0
     assert math.isclose(float(r2), math.sqrt(2))
+
+
+def _random_coeff(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return F(0)
+    if kind == 1:
+        return F(rng.randint(-50, 50))
+    if kind == 2:
+        return F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+    return F(rng.randint(-10**400, 10**400), rng.randint(1, 10**400))
+
+
+def _random_radicand(rng):
+    kind = rng.randrange(6)
+    if kind == 0:
+        return F(rng.randint(0, 30) ** 2)  # square, D = 1
+    if kind == 1:
+        return F(rng.randint(1, 10**6) ** 2, rng.randint(1, 10**6) ** 2)
+    if kind == 2:
+        return F(rng.randint(0, 100))
+    if kind == 3:
+        return F(rng.randint(1, 10**6), rng.randint(1, 10**6))
+    if kind == 4:
+        return F(rng.randint(1, 10**400), rng.randint(1, 10**400))
+    return F(rng.randint(1, 10**200) ** 2, rng.randint(1, 10**200) ** 2)
+
+
+def test_surd_fast_paths_match_normalising_constructor():
+    # values built from already-normal fields (negation, abs, scaling,
+    # the bare private constructor) equal, field by field and typed,
+    # what the normalising constructor makes of the same value
+    rng = random.Random(5)
+    folded = 0
+    for _ in range(3000):
+        v = SqrtRational(_random_coeff(rng), _random_radicand(rng))
+        folded += v.radicand == 1
+        k = _random_coeff(rng)
+        for fast, slow in (
+            (SqrtRational._normal(v.coeff, v.radicand), SqrtRational(v.coeff, v.radicand)),
+            (-v, SqrtRational(-v.coeff, v.radicand)),
+            (abs(v), SqrtRational(abs(v.coeff), v.radicand)),
+            (v.scale(1), SqrtRational(v.coeff, v.radicand)),
+            (v.scale(-1), SqrtRational(-v.coeff, v.radicand)),
+            (v.scale(k), SqrtRational(v.coeff * k, v.radicand)),
+        ):
+            assert type(fast.coeff) is type(fast.radicand) is Fraction
+            assert (fast.coeff, fast.radicand) == (slow.coeff, slow.radicand), v
+    assert 300 < folded < 2700
+
+
+def test_surd_equality_and_hash_follow_the_key():
+    rng = random.Random(6)
+    pool = [SqrtRational(0), SqrtRational(2, 8), SqrtRational(4, 2),
+            SqrtRational(-4, 2), SqrtRational(-2, 8), SqrtRational(6, 1),
+            SqrtRational(2, 9), SqrtRational(F(1, 2), F(8, 9))]
+    for _ in range(30):
+        # a few radicands, so equal radicands and equal values with
+        # other fields (c sqrt(k^2 r) against c k sqrt(r)) both occur
+        r, k = rng.choice([1, 2, 3, 12, F(2, 9), F(5, 7)]), rng.randint(1, 3)
+        c = F(rng.randint(-6, 6), rng.randint(1, 3))
+        pool += [SqrtRational(c, r), SqrtRational(c, r * k * k), SqrtRational(c * k, r)]
+    same_radicand = equal = 0
+    for a in pool:
+        for b in pool:
+            assert (a == b) == (a._key() == b._key()), (a, b)
+            assert (a != b) == (a._key() != b._key()), (a, b)
+            if a == b:
+                assert hash(a) == hash(b)
+                equal += a.radicand != b.radicand
+            same_radicand += a.radicand == b.radicand and a.coeff != b.coeff
+            assert a.sign() == a._key()[0]
+    assert equal > 50 and same_radicand > 500, (equal, same_radicand)

@@ -26,7 +26,9 @@ from helpers import (
     reference_check_well_annotated,
     reference_check_well_ordered,
     reference_germ_classes,
+    reference_magnified_views,
     reference_overlapping_pairs,
+    sweep_inputs,
 )
 import linkfold.annotations
 from linkfold.annotations import AnnotationMatrix, annotate
@@ -84,6 +86,26 @@ def test_magnified_views_pass_through():
     assert mid.class_of[ks[0]] == mid.class_of[ks[1]]
     # entrances sorted by strictly descending angle: pi, pi/2, 0
     assert [d for d, _ in mid.entrances] == [(-1, 0), (0, 1), (1, 0)]
+
+
+def test_magnified_views_match_scan_reference():
+    # lattice sweep against the locations x edges Fraction scan, field by
+    # field; the inputs must reach pass germs, zero clusters and
+    # locations where pass and endpoint germs mix
+    seen = dict.fromkeys(("pass", "zero", "mixed"), 0)
+    for L, C in sweep_inputs(random.Random(4400)):
+        got, want = magnified_views(L, C), reference_magnified_views(L, C)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.location == w.location and type(g.location[0]) is F
+            assert g.inbounds == w.inbounds, g.location
+            assert g.class_of == w.class_of, g.location
+            assert g.entrances == w.entrances, g.location
+            kinds = {ib.kind for ib in g.inbounds}
+            seen["pass"] += "pass" in kinds
+            seen["mixed"] += kinds == {"pass", "endpoint"}
+        seen["zero"] += any(e.rest_length == 0 for e in L.edges)
+    assert min(seen.values()) >= 100, seen
 
 
 def test_magnified_views_requires_exact():
