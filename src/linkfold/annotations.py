@@ -1,4 +1,4 @@
-"""Signed overlap values and annotation matrices.
+"""Signed overlap values, line indexes and annotation matrices.
 
 The signed overlap of a directed segment pair measures how much of the
 second segment runs on the left of the first minus how much runs on the
@@ -9,6 +9,7 @@ length, carried as SqrtRational.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import AnnotationError
@@ -18,7 +19,6 @@ from .geometry import (
     canonical_line_direction,
     cross,
     dot,
-    lattice,
     properly_cross,
     sqnorm,
     vsub,
@@ -100,86 +100,90 @@ def strict_crossing(e1: Segment, e2: Segment) -> bool:
     return properly_cross(e1[0], e1[1], e2[0], e2[1])
 
 
-def bars_by_line(segs) -> dict[Line, list[tuple[Fraction, Fraction, int]]]:
-    """Positive segments grouped by canonical supporting line.
+class LineIndex:
+    """Line facts of one configuration's bars, on its integer lattice.
 
-    Each group lists (lo, hi, index): the segment's parameter interval
-    along the line's canonical direction, sorted by start parameter.
+    ``Configuration.lines()`` builds it once. ``segments`` holds each
+    edge's lattice images (D*tail, D*head) and ``line_of`` its canonical
+    line there, None for a point bar. Per line, ``bars`` lists the bars
+    as (lo, hi, edge index), their parameter intervals along the line's
+    canonical direction sorted by start, and ``stations`` the sorted
+    parameters and images of the locations on it. ``overlaps`` holds the
+    positive overlap_length of every overlapping ordered pair in the
+    input's units, row-major.
     """
-    groups: dict[Line, list[tuple[Fraction, Fraction, int]]] = {}
-    for i, (a, b) in enumerate(segs):
-        if a == b:
-            continue
-        line = canonical_line(a, b)
-        dx, dy = canonical_line_direction(line)
-        sa, sb = a[0] * dx + a[1] * dy, b[0] * dx + b[1] * dy
-        groups.setdefault(line, []).append((min(sa, sb), max(sa, sb), i))
-    for group in groups.values():
-        group.sort()
-    return groups
 
+    def __init__(self, linkage: Linkage, images: dict, D: int) -> None:
+        self.D = D
+        self.segments = segs = [(images[e.tail], images[e.head]) for e in linkage.edges]
+        self.line_of = [canonical_line(a, b) if a != b else None for a, b in segs]
+        self.bars: dict[Line, list[tuple[int, int, int]]] = {}
+        for i, line in enumerate(self.line_of):
+            if line is not None:
+                (ax, ay), (bx, by) = segs[i]
+                dx, dy = canonical_line_direction(line)
+                sa, sb = ax * dx + ay * dy, bx * dx + by * dy
+                self.bars.setdefault(line, []).append((min(sa, sb), max(sa, sb), i))
+        # parallel lines share one pass over the locations
+        on_line: dict[Line, list[tuple[int, tuple]]] = {line: [] for line in self.bars}
+        points = set(images.values())
+        for a, b in {line[:2] for line in self.bars}:
+            dx, dy = canonical_line_direction((a, b, 0))
+            for p in points:
+                stations = on_line.get((a, b, a * p[0] + b * p[1]))
+                if stations is not None:
+                    stations.append((p[0] * dx + p[1] * dy, p))
+        self.stations: dict[Line, tuple[list[int], list[tuple]]] = {}
+        for line, group in self.bars.items():
+            group.sort()
+            stations = sorted(on_line[line])
+            self.stations[line] = ([s for s, _ in stations], [p for _, p in stations])
+        # each line's bars are swept by start, so overlap_length runs once
+        # per unordered overlapping pair
+        overlaps = {}
+        for group in self.bars.values():
+            active: list[tuple[int, int]] = []
+            for lo, hi, j in group:
+                active = [(h, i) for h, i in active if h > lo]
+                for _, i in active:
+                    v = overlap_length(segs[i], segs[j])
+                    overlaps[i, j] = self.unscale(v)
+                    if v.radicand != 1:
+                        # a bar is g times the line's primitive direction u,
+                        # and an overlap k|u| reads k/g*sqrt(g^2|u|^2) from it
+                        gi, gj = math.gcd(*vsub(*segs[i])), math.gcd(*vsub(*segs[j]))
+                        v = SqrtRational._normal(v.coeff * gi / gj, v.radicand * gj**2 / gi**2)
+                    overlaps[j, i] = self.unscale(v)
+                active.append((hi, j))
+        self.overlaps = dict(sorted(overlaps.items()))
 
-def stations_by_line(lines, points) -> dict[Line, list[tuple[int, tuple]]]:
-    """For each canonical line, the points on it as sorted (param, point).
+    def unscale(self, v: SqrtRational) -> SqrtRational:
+        """A value measured on the lattice, in the input's units.
 
-    Points are integer lattice images, and params run along the line's
-    canonical direction, as in bars_by_line. Parallel lines share one
-    pass over the points: a x + b y is computed once per direction.
-    """
-    by_normal: dict[tuple[int, int], set[int]] = {}
-    for a, b, c in lines:
-        by_normal.setdefault((a, b), set()).add(c)
-    out: dict[Line, list[tuple[int, tuple]]] = {line: [] for line in lines}
-    for (a, b), cs in by_normal.items():
-        dx, dy = canonical_line_direction((a, b, 0))
-        for p in points:
-            c = a * p[0] + b * p[1]
-            if c in cs:
-                out[(a, b, c)].append((p[0] * dx + p[1] * dy, p))
-    for stations in out.values():
-        stations.sort()
-    return out
+        c*sqrt(r) on the lattice is c*sqrt(r / D^2) in the input; a square
+        radicand is 1 on both sides and any other stays no square.
+        """
+        D = self.D
+        if D == 1:
+            return v
+        if v.radicand == 1:
+            return SqrtRational._normal(v.coeff / D, v.radicand)
+        return SqrtRational._normal(v.coeff, Fraction(v.radicand.numerator, D * D))
 
-
-def overlapping_pairs(segs) -> dict[tuple[int, int], SqrtRational]:
-    """Positive overlap_length of every overlapping ordered pair, row-major.
-
-    Only collinear bars with a one-dimensional common stretch overlap, so
-    each line's bars are swept by start parameter; overlap_length runs
-    once per overlapping ordered pair and never on any other pair. The
-    scan runs on the segments' integer lattice D*p; a value c*sqrt(r)
-    measured there is c*sqrt(r / D^2) back in the input's units.
-    """
-    D, images = lattice(p for seg in segs for p in seg)
-    isegs = list(zip(images[::2], images[1::2]))
-    pairs = []
-    for group in bars_by_line(isegs).values():
-        active: list[tuple[int, int]] = []
-        for lo, hi, i in group:
-            active = [(h, k) for h, k in active if h > lo]
-            pairs.extend((min(i, k), max(i, k)) for _, k in active)
-            active.append((hi, i))
-    ordered = sorted(pairs + [(j, i) for i, j in pairs])
-    out = {(i, j): overlap_length(isegs[i], isegs[j]) for i, j in ordered}
-    if D != 1:
-        # a square radicand is 1 on both sides; any other stays no square
-        for key, v in out.items():
-            if v.radicand == 1:
-                out[key] = SqrtRational._normal(v.coeff / D, v.radicand)
-            else:
-                r = Fraction(v.radicand.numerator, D * D)
-                out[key] = SqrtRational._normal(v.coeff, r)
-    return out
+    def signed_overlap(self, i: int, j: int) -> SqrtRational:
+        """ord_value of bar j over bar i, in the input's units."""
+        return self.unscale(ord_value(self.segments[i], self.segments[j]))
 
 
 class AnnotationMatrix:
     """Square matrix of signed overlap values, indexed like edges.
 
     Stored as explicit overrides on top of geometry defaults: an entry
-    that is not overridden is ord_value on the matrix's own segments,
-    computed the first time it is read and then cached. A matrix built
-    from rows has no segments and overrides every entry. ``entries``
-    builds the full grid, and matrices compare equal by entries.
+    that is not overridden is the signed overlap on the line index
+    ``lines`` the matrix was built from, computed the first time it is
+    read and then cached. A matrix built from rows has no index and
+    overrides every entry. ``entries`` builds the full grid, and
+    matrices compare equal by entries.
     """
 
     def __init__(self, entries) -> None:
@@ -191,16 +195,18 @@ class AnnotationMatrix:
             if not row[i].is_zero:
                 raise AnnotationError(f"nonzero diagonal entry at {i}")
         self.n = n
-        self.segments = None  # defaults come from these; None for rows
+        self.lines: LineIndex | None = None  # defaults come from it
         self.overrides = {(i, j): v for i, r in enumerate(rows) for j, v in enumerate(r)}
         self._defaults: dict[tuple[int, int], SqrtRational] = {}
-        self._overlap_key = self._overlaps = None  # see overlaps()
 
     @classmethod
-    def from_segments(cls, segments, overrides=None) -> "AnnotationMatrix":
-        """Geometry defaults on segments, with off-diagonal overrides."""
+    def from_configuration(
+        cls, configuration: Configuration, overrides=None
+    ) -> "AnnotationMatrix":
+        """Geometry defaults on the configuration's bars, with off-diagonal overrides."""
         matrix = cls(())
-        matrix.n, matrix.segments = len(segments), tuple(segments)
+        matrix.lines = configuration.lines()
+        matrix.n = len(matrix.lines.segments)
         matrix.overrides = dict(overrides or {})
         for (i, j), v in matrix.overrides.items():
             if i == j and not v.is_zero:
@@ -220,8 +226,7 @@ class AnnotationMatrix:
         if v is None:
             v = self._defaults.get((i, j))
             if v is None:
-                segs = self.segments
-                v = SqrtRational(0) if i == j else ord_value(segs[i], segs[j])
+                v = SqrtRational(0) if i == j else self.lines.signed_overlap(i, j)
                 self._defaults[(i, j)] = v
         return v
 
@@ -238,17 +243,8 @@ class AnnotationMatrix:
     def __hash__(self) -> int:
         return hash(self.entries)
 
-    def overlaps(self, segs) -> dict[tuple[int, int], SqrtRational]:
-        """overlapping_pairs(segs), kept for the segments last asked about."""
-        segs = tuple(segs)
-        if self._overlap_key != segs:
-            self._overlap_key, self._overlaps = segs, overlapping_pairs(segs)
-        return self._overlaps
-
 
 def annotate(linkage: Linkage, configuration: Configuration) -> AnnotationMatrix:
     """Annotation induced by an exact configuration: pairwise signed overlaps."""
     require_conf0(configuration)
-    return AnnotationMatrix.from_segments(
-        [configuration.segment(e) for e in linkage.edges]
-    )
+    return AnnotationMatrix.from_configuration(configuration)

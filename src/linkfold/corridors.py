@@ -8,11 +8,12 @@ must extend to a consistent global layering of the corridor.
 
 from __future__ import annotations
 
+import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .annotations import AnnotationMatrix, bars_by_line, stations_by_line
+from .annotations import AnnotationMatrix
 from .errors import CorridorError
 from .geometry import (
     Point,
@@ -21,7 +22,6 @@ from .geometry import (
     canonical_line_direction,
     cross,
     dot,
-    primitive_direction,
     rot90ccw,
     sign,
     sqnorm,
@@ -59,14 +59,11 @@ def corridors(linkage: Linkage, configuration: Configuration) -> tuple[Corridor,
     """
     require_conf0(configuration)
     C = configuration
-    images = C.lattice()
-    where = {img: C.placement[v] for v, img in images.items()}
-    groups = bars_by_line([(images[e.tail], images[e.head]) for e in linkage.edges])
-    stations = stations_by_line(groups, where)
+    index = C.lines()
+    where = {img: C.placement[v] for v, img in C.lattice().items()}
     out = []
-    for lattice_line, group in groups.items():
-        params = [s for s, _ in stations[lattice_line]]
-        cuts = [p for _, p in stations[lattice_line]]
+    for lattice_line, group in index.bars.items():
+        params, cuts = index.stations[lattice_line]
         covering: list[list[int]] = [[] for _ in cuts[1:]]
         bars = sorted((i, lo, hi) for lo, hi, i in group)
         for i, lo, hi in bars:
@@ -141,16 +138,16 @@ def corridor_order(
     for i, outs in above.items():
         for j in outs:
             indeg[j] += 1
-    ready = sorted(i for i in corridor.bars if indeg[i] == 0)
+    ready = [i for i in corridor.bars if indeg[i] == 0]
+    heapq.heapify(ready)
     order: list[int] = []
     while ready:
-        i = ready.pop(0)
+        i = heapq.heappop(ready)
         order.append(i)
-        for j in sorted(above[i]):
+        for j in above[i]:
             indeg[j] -= 1
             if indeg[j] == 0:
-                ready.append(j)
-        ready.sort()
+                heapq.heappush(ready, j)
     if len(order) != len(corridor.bars):
         raise CorridorError("inconsistent layer order in corridor")
     ids = tuple(linkage.edges[i].id for i in order)
@@ -158,20 +155,27 @@ def corridor_order(
 
 
 def _has_cycle(adj: dict[int, set[int]]) -> bool:
-    state: dict[int, int] = {}
-
-    def visit(u: int) -> bool:
-        state[u] = 1
-        for v in adj[u]:
-            st = state.get(v, 0)
-            if st == 1:
-                return True
-            if st == 0 and visit(v):
-                return True
-        state[u] = 2
-        return False
-
-    return any(state.get(u, 0) == 0 and visit(u) for u in adj)
+    """True iff the directed graph has a cycle; depth-first, with an explicit stack."""
+    state: dict[int, int] = {}  # 1 while on the current path, 2 when done
+    for root in adj:
+        if root in state:
+            continue
+        state[root] = 1
+        stack = [(root, iter(adj[root]))]
+        while stack:
+            u, succ = stack[-1]
+            for v in succ:
+                st = state.get(v, 0)
+                if st == 1:
+                    return True
+                if st == 0:
+                    state[v] = 1
+                    stack.append((v, iter(adj[v])))
+                    break
+            else:
+                state[u] = 2
+                stack.pop()
+    return False
 
 
 def delta_bound(linkage: Linkage, configuration: Configuration) -> Fraction:
@@ -192,12 +196,8 @@ def delta_bound(linkage: Linkage, configuration: Configuration) -> Fraction:
         candidates.append(min(pos_lengths))
 
     # the least sine over nonparallel bars is reached between neighbouring
-    # primitive directions sorted modulo pi, the last and first included
-    dirs = set()
-    for e in linkage.edges:
-        if e.rest_length > 0:
-            x, y = primitive_direction(vsub(*C.segment(e)))
-            dirs.add((x, y) if y > 0 or (y == 0 and x > 0) else (-x, -y))
+    # line directions sorted by angle, the last and first included
+    dirs = {canonical_line_direction(line) for line in C.lines().bars}
     ordered = sorted(dirs, key=angle_descending_key)
     sin_sq = [
         Fraction(c * c, sqnorm(u) * sqnorm(v))

@@ -295,11 +295,11 @@ def resolve_annotations(
     Layer entries scale the overlap length by the given sign and, when
     the reverse pair is not itself listed, fill it in so the pair
     describes one coherent local ordering. The returned matrix stores
-    only these overrides and carries the overlap index it looked them up in.
+    only these overrides on the configuration's line index.
     """
     require_conf0(configuration)
-    segs = tuple(configuration.segment(e) for e in linkage.edges)
-    matrix = AnnotationMatrix.from_segments(segs)
+    matrix = AnnotationMatrix.from_configuration(configuration)
+    index = matrix.lines
     values = matrix.overrides  # filled in place below
     explicit: set[tuple[int, int]] = set()
     fills: list[tuple[int, int, SqrtRational]] = []
@@ -317,20 +317,17 @@ def resolve_annotations(
         if entry.value is not None:
             values[(i, j)] = entry.value
             continue
-        overlaps = matrix.overlaps(segs)
-        if (i, j) not in overlaps:
+        if (i, j) not in index.overlaps:
             raise DocumentError(
                 f"layer annotation on non-overlapping pair "
                 f"{entry.first!r}/{entry.second!r}",
                 path,
             )
-        values[(i, j)] = overlaps[(i, j)].scale(entry.layer)
+        values[(i, j)] = index.overlaps[(i, j)].scale(entry.layer)
         # the reverse pair's flip is a sign, read on the integer lattice
-        images, ei, ej = configuration.lattice(), linkage.edges[i], linkage.edges[j]
-        di = vsub(images[ei.head], images[ei.tail])
-        dj = vsub(images[ej.head], images[ej.tail])
-        flip = -sign(dot(di, dj))
-        fills.append((j, i, overlaps[(j, i)].scale(flip * entry.layer)))
+        (ai, bi), (aj, bj) = index.segments[i], index.segments[j]
+        flip = -sign(dot(vsub(bi, ai), vsub(bj, aj)))
+        fills.append((j, i, index.overlaps[(j, i)].scale(flip * entry.layer)))
     for j, i, val in fills:
         if (j, i) not in explicit:
             values[(j, i)] = val

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import LinkageError
 from .geometry import (
@@ -22,6 +22,9 @@ from .geometry import (
     lattice,
     properly_cross,
 )
+
+if TYPE_CHECKING:
+    from .annotations import LineIndex
 
 
 class DisjointSets:
@@ -226,11 +229,20 @@ class Configuration:
         Built by the first contact scan that asks for it, then kept;
         construction and membership never build it.
         """
-        images = self.__dict__.get("_lattice")
-        if images is None:
-            images = dict(zip(self.placement, lattice(self.placement.values())[1]))
-            object.__setattr__(self, "_lattice", images)
-        return images
+        if "_lattice" not in self.__dict__:
+            D, images = lattice(self.placement.values())
+            object.__setattr__(self, "_lattice", dict(zip(self.placement, images)))
+            object.__setattr__(self, "_scale", D)
+        return self._lattice
+
+    def lines(self) -> LineIndex:
+        """The line index of the bars on lattice(), built the first time asked."""
+        if "_lines" not in self.__dict__:
+            from .annotations import LineIndex  # annotations imports this module
+
+            index = LineIndex(self.linkage, self.lattice(), self._scale)
+            object.__setattr__(self, "_lines", index)
+        return self._lines
 
     def segment(self, edge: Edge) -> tuple[Point, Point]:
         return self.placement[edge.tail], self.placement[edge.head]

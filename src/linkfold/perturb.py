@@ -97,6 +97,7 @@ def _float_displacements(
     disp: dict[tuple[str, int], tuple[float, float]] = {}
     golden_count: dict[Point, int] = {}
     cluster_dirs: dict[int, list[tuple[float, float]]] = {}
+    cluster_exits: dict[int, list[tuple[float, float]]] = {}
     pending_zero: list[tuple[str, int, int, Point]] = []
     for v in linkage.vertices:
         p = C.placement[v]
@@ -127,23 +128,31 @@ def _float_displacements(
             disp[(v, k)] = (fx, fy)
             nrm = math.hypot(fx, fy)
             cluster_dirs.setdefault(cid, []).append((fx / nrm, fy / nrm))
+            if h:
+                cluster_exits.setdefault(cid, []).append((fx, fy))
     centers: dict[int, tuple[float, float]] = {}
     for v, k, cid, p in pending_zero:
         if cid not in centers:
+            # the mean exit of the raised bars keeps their offset normal to
+            # the corridor, so extension bars from the centre cross no bar
+            # layered between them; a unit mean direction would shrink it
+            exits = cluster_exits.get(cid, [])
+            ex = sum(x for x, _ in exits) / max(len(exits), 1)
+            ey = sum(y for _, y in exits) / max(len(exits), 1)
             dirs = cluster_dirs.get(cid, [])
-            nrm = 0.0
-            if dirs:
-                mx = sum(d[0] for d in dirs) / len(dirs)
-                my = sum(d[1] for d in dirs) / len(dirs)
-                nrm = math.hypot(mx, my)
-            if dirs and nrm > 1e-9:
+            mx = sum(d[0] for d in dirs) / max(len(dirs), 1)
+            my = sum(d[1] for d in dirs) / max(len(dirs), 1)
+            nrm = math.hypot(mx, my)
+            if math.hypot(ex, ey) > 0.05 * da:
+                centers[cid] = (ex, ey)
+            elif nrm > 1e-9:
                 bx, by = mx / nrm, my / nrm
+                centers[cid] = (0.45 * da * bx, 0.45 * da * by)
             else:
                 g = golden_count.get(p, 0)
                 golden_count[p] = g + 1
                 ang = g * GOLDEN_ANGLE
-                bx, by = math.cos(ang), math.sin(ang)
-            centers[cid] = (0.45 * da * bx, 0.45 * da * by)
+                centers[cid] = (0.45 * da * math.cos(ang), 0.45 * da * math.sin(ang))
         disp[(v, k)] = centers[cid]
     return disp
 
@@ -238,10 +247,9 @@ def _prepare(
             psi_map[eid] = (h, u)
 
     extended, _, emap = extend_split(linkage, configuration)
-    overlaps = annotation.overlaps(configuration.segment(e) for e in linkage.edges)
     return _Prepared(
         linkage, configuration, annotation, bound, orders, psi_map, extended, emap,
-        overlaps,
+        configuration.lines().overlaps,
     )
 
 

@@ -12,21 +12,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .annotations import (
-    AnnotationMatrix,
-    bars_by_line,
-    ord_value,
-    stations_by_line,
-    strict_crossing,
-)
+from .annotations import AnnotationMatrix, strict_crossing
 from .errors import AnnotationError
-from .geometry import (
-    angle_descending_key,
-    box_pairs,
-    canonical_line,
-    primitive_direction,
-    vsub,
-)
+from .geometry import angle_descending_key, box_pairs, primitive_direction, vsub
 from .linkage import (
     Configuration,
     Linkage,
@@ -74,28 +62,26 @@ def magnified_views(
     require_conf0(configuration)
     C = configuration
     part = merged_vertex_partition(linkage)
-    images = C.lattice()
-    where = {img: C.placement[v] for v, img in images.items()}
+    index = C.lines()
+    where = {img: C.placement[v] for v, img in C.lattice().items()}
     germs = {img: [] for img in where}  # (edge index, its germs) per location
-    segs = [(images[e.tail], images[e.head]) for e in linkage.edges]
     ahead: dict[int, IntVec] = {}  # primitive direction tail -> head
-    for i, (e, (a, b)) in enumerate(zip(linkage.edges, segs)):
+    for i, (e, (a, b)) in enumerate(zip(linkage.edges, index.segments)):
         if a == b:
             continue
         u = ahead[i] = primitive_direction(vsub(b, a))
         back = (-u[0], -u[1])
         germs[a].append((i, (Inbound(i, e.id, u, -1, e.tail, "endpoint"),)))
         germs[b].append((i, (Inbound(i, e.id, back, +1, e.head, "endpoint"),)))
-    by_line = bars_by_line(segs)
-    for line, stations in stations_by_line(by_line, where).items():
-        params = [s for s, _ in stations]
-        for lo, hi, i in by_line[line]:
+    for line, group in index.bars.items():
+        params, points = index.stations[line]
+        for lo, hi, i in group:
             u, eid = ahead[i], linkage.edges[i].id
             halves = (
                 Inbound(i, eid, (-u[0], -u[1]), +1, None, "pass"),
                 Inbound(i, eid, u, -1, None, "pass"),
             )
-            for _, p in stations[bisect_right(params, lo) : bisect_left(params, hi)]:
+            for p in points[bisect_right(params, lo) : bisect_left(params, hi)]:
                 germs[p].append((i, halves))
 
     views = []
@@ -157,10 +143,8 @@ def check_macroscopic(linkage: Linkage, configuration: Configuration) -> CheckRe
     across distinct lines are tested, on the integer lattice and in the
     order of the pairwise double loop.
     """
-    images = configuration.lattice()
-    segs = [(images[e.tail], images[e.head]) for e in linkage.edges]
-    # a point bar crosses nothing, so it has no line to test against
-    lines = [canonical_line(a, b) if a != b else None for a, b in segs]
+    index = configuration.lines()
+    segs, lines = index.segments, index.line_of
     for i, j in box_pairs(segs):
         if lines[i] is None or lines[j] is None or lines[i] == lines[j]:
             continue
@@ -179,13 +163,14 @@ def check_well_annotated(
 ) -> CheckReport:
     """Entries carry overlap magnitudes on overlapping pairs, exact values elsewhere.
 
-    Defaults on these same segments are wrong only on overlapping pairs,
-    so then just the overrides and the overlapping pairs are checked.
+    Defaults from this configuration's own line index are wrong only on
+    overlapping pairs, so then just the overrides and the overlapping
+    pairs are checked; any other matrix is checked on every pair.
     """
-    segs = tuple(configuration.segment(e) for e in linkage.edges)
-    overlaps = annotation.overlaps(segs)
-    n = len(segs)
-    if annotation.segments == segs:
+    index = configuration.lines()
+    overlaps = index.overlaps
+    n = len(linkage.edges)
+    if annotation.lines is index:
         pairs = sorted(overlaps.keys() | annotation.overrides.keys())
     else:
         pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
@@ -200,7 +185,7 @@ def check_well_annotated(
                     (linkage.edges[i].id, linkage.edges[j].id),
                     "entry magnitude differs from the overlap length",
                 )
-        elif a != ord_value(segs[i], segs[j]):
+        elif a != index.signed_overlap(i, j):
             return CheckReport(
                 "well-annotated",
                 "fail",

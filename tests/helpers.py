@@ -17,7 +17,6 @@ from linkfold.adornments import AdornedChain, Adornment, adorned_chain_to_linkag
 from linkfold.annotations import (
     AnnotationMatrix,
     annotate,
-    bars_by_line,
     ord_value,
     overlap_length,
     strict_crossing,
@@ -30,6 +29,7 @@ from linkfold.geometry import (
     cross,
     dot,
     in_open_segment,
+    lattice,
     point_on_line,
     primitive_direction,
     properly_cross,
@@ -331,7 +331,7 @@ def corpus_geometries():
             if C.epsilon == 0:
                 A = resolve_annotations(L, C, doc.annotations)
             else:
-                A = AnnotationMatrix.from_segments([C.segment(e) for e in L.edges])
+                A = AnnotationMatrix.from_configuration(C)
             out.append((path.stem, L, C, A))
     return out
 
@@ -492,6 +492,15 @@ def assignment_of(placement):
         out[f"x_{v}"] = F(x)
         out[f"y_{v}"] = F(y)
     return out
+
+
+def segments_configuration(segs):
+    """One bar e<k> per segment, on endpoints of its own, with ample slack."""
+    L = mk_linkage([(f"e{k}", f"t{k}", f"h{k}", 0) for k in range(len(segs))])
+    P = {}
+    for k, (a, b) in enumerate(segs):
+        P[f"t{k}"], P[f"h{k}"] = a, b
+    return Configuration(L, P, big_eps(L, P))
 
 
 def big_eps(linkage, placement):
@@ -1137,6 +1146,76 @@ def reference_overlapping_pairs(segs):
                 ov = overlap_length(si, sj)
                 if ov.sign() > 0:
                     out[(i, j)] = ov
+    return out
+
+
+def bars_by_line(segs):
+    """Positive segments grouped by canonical supporting line.
+
+    Each group lists (lo, hi, index): the segment's parameter interval
+    along the line's canonical direction, sorted by start parameter.
+    The builder LineIndex replaced, kept as an oracle.
+    """
+    groups = {}
+    for i, (a, b) in enumerate(segs):
+        if a == b:
+            continue
+        line = canonical_line(a, b)
+        dx, dy = canonical_line_direction(line)
+        sa, sb = a[0] * dx + a[1] * dy, b[0] * dx + b[1] * dy
+        groups.setdefault(line, []).append((min(sa, sb), max(sa, sb), i))
+    for group in groups.values():
+        group.sort()
+    return groups
+
+
+def stations_by_line(lines, points):
+    """For each canonical line, the points on it as sorted (param, point).
+
+    Params run along the line's canonical direction, as in bars_by_line.
+    The builder LineIndex replaced, kept as an oracle.
+    """
+    by_normal = {}
+    for a, b, c in lines:
+        by_normal.setdefault((a, b), set()).add(c)
+    out = {line: [] for line in lines}
+    for (a, b), cs in by_normal.items():
+        dx, dy = canonical_line_direction((a, b, 0))
+        for p in points:
+            c = a * p[0] + b * p[1]
+            if c in cs:
+                out[(a, b, c)].append((p[0] * dx + p[1] * dy, p))
+    for stations in out.values():
+        stations.sort()
+    return out
+
+
+def overlapping_pairs(segs):
+    """Positive overlap_length of every overlapping ordered pair, row-major.
+
+    Each line's bars are swept by start parameter on the segments' own
+    integer lattice D*p, overlap_length runs on both ordered pairs, and
+    a value c*sqrt(r) measured there is c*sqrt(r / D^2) in the input's
+    units. The sweep LineIndex replaced, kept as an oracle.
+    """
+    D, images = lattice(p for seg in segs for p in seg)
+    isegs = list(zip(images[::2], images[1::2]))
+    pairs = []
+    for group in bars_by_line(isegs).values():
+        active = []
+        for lo, hi, i in group:
+            active = [(h, k) for h, k in active if h > lo]
+            pairs.extend((min(i, k), max(i, k)) for _, k in active)
+            active.append((hi, i))
+    ordered = sorted(pairs + [(j, i) for i, j in pairs])
+    out = {(i, j): overlap_length(isegs[i], isegs[j]) for i, j in ordered}
+    if D != 1:
+        for key, v in out.items():
+            if v.radicand == 1:
+                out[key] = SqrtRational._normal(v.coeff / D, v.radicand)
+            else:
+                r = Fraction(v.radicand.numerator, D * D)
+                out[key] = SqrtRational._normal(v.coeff, r)
     return out
 
 

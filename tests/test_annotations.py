@@ -7,14 +7,21 @@ import pytest
 
 from helpers import (
     RATIONAL_DIRS,
+    bars_by_line,
+    big_eps,
     conf,
     corpus_geometries,
+    layered_strip,
     mk_linkage,
+    overlapping_pairs,
     random_layered_flat,
     random_sa_instance,
     reference_ord_value,
     reference_overlapping_pairs,
+    segments_configuration,
+    stations_by_line,
     straight_chain,
+    sweep_inputs,
     zero_cluster_star,
 )
 from linkfold.annotations import (
@@ -22,11 +29,11 @@ from linkfold.annotations import (
     annotate,
     ord_value,
     overlap_length,
-    overlapping_pairs,
     strict_crossing,
 )
+from linkfold.document import format_annotation_value
 from linkfold.errors import AnnotationError, LinkageError
-from linkfold.geometry import lattice
+from linkfold.geometry import canonical_line, lattice
 from linkfold.linkage import Configuration
 from linkfold.rationals import SqrtRational
 
@@ -265,16 +272,18 @@ def test_overlapping_pairs_matches_reference():
         cases.append([(P[e.tail], P[e.head]) for e in L.edges])
     hits = 0
     for segs in cases:
-        got = overlapping_pairs(segs)
+        got = segments_configuration(segs).lines().overlaps
         assert list(got.items()) == list(reference_overlapping_pairs(segs).items())
         hits += bool(got)
     assert hits >= 200
 
 
 def test_overlapping_pairs_fields_match_fraction_path():
-    # int-lattice segments and rational ones both give, field by field,
-    # the (coeff, radicand) pair overlap_length builds on Fractions, so a
-    # stray int division (a float) or a rescaled radicand shows here
+    # the line index gives, field by field and in both orders, the
+    # (coeff, radicand) pair overlap_length builds on the input's
+    # Fractions, on rational segments and on their integer lattice images
+    # alike, so a stray int division (a float) or a rescaled radicand
+    # shows here
     rng = random.Random(18)
     cases = []
     for _ in range(60):
@@ -298,7 +307,7 @@ def test_overlapping_pairs_fields_match_fraction_path():
         isegs = list(zip(images[::2], images[1::2]))
         fsegs = [tuple((F(x), F(y)) for x, y in s) for s in isegs]
         for inputs, exact in ((segs, segs), (isegs, fsegs)):
-            got = overlapping_pairs(inputs)
+            got = segments_configuration(inputs).lines().overlaps
             want = reference_overlapping_pairs(exact)
             assert list(got) == list(want)
             for key, v in got.items():
@@ -323,16 +332,72 @@ def test_annotation_matrix_overrides_over_defaults():
         )
     )
     A = annotate(L, C)
-    assert A.overrides == {} and A.segments == tuple(segs)
+    assert A.overrides == {} and A.lines is C.lines()
     assert A == dense and A.entries == dense.entries and hash(A) == hash(dense)
-    B = AnnotationMatrix.from_segments(segs, {(0, 2): SqrtRational(-1)})
+    B = AnnotationMatrix.from_configuration(C, {(0, 2): SqrtRational(-1)})
     assert B.value(0, 2) == -1 and B.value(2, 0) == A.value(2, 0)
     assert B != A
     assert B.entries[0] == (0, 2, -1)
-    assert A.overlaps(segs) == {(0, 2): 1, (2, 0): 1}
-    assert A.overlaps(segs) is A.overlaps(tuple(segs))  # kept, not rescanned
+    assert C.lines().overlaps == {(0, 2): 1, (2, 0): 1}
+    assert B.lines is C.lines()  # kept, not rescanned
     with pytest.raises(AnnotationError):
-        AnnotationMatrix.from_segments(segs, {(1, 1): SqrtRational(1)})
+        AnnotationMatrix.from_configuration(C, {(1, 1): SqrtRational(1)})
+
+
+def _spiral(n, frame):
+    """Nested n-bar spiral strip, every pair of bars overlapping, placed
+    along a direction of any length with slack to match."""
+    xs = [0]
+    for k, length in enumerate(range(2 * n, n, -1)):
+        xs.append(xs[-1] + (length if k % 2 == 0 else -length))
+    L, C, _ = layered_strip(xs, hinged=n % 2 == 1)
+    (dx, dy, nm), (ox, oy) = frame
+    P = {v: (ox + x * F(dx, nm), oy + x * F(dy, nm)) for v, (x, _) in C.placement.items()}
+    return L, Configuration(L, P, big_eps(L, P))
+
+
+def _same_fields(v, w, key):
+    assert (v.coeff, v.radicand) == (w.coeff, w.radicand), key
+    assert format_annotation_value(v) == format_annotation_value(w), key
+
+
+def test_line_index_matches_oracles():
+    # lines, bars, stations, overlaps and defaults agree, field by field
+    # and in order, with the builders the index replaced and with
+    # ord_value on the input's Fractions, on corpus documents, random
+    # flats and contacts, and spirals on lines whose direction has an
+    # irrational length
+    rng = random.Random(2027)
+    cases = sweep_inputs(rng, flats=60, contacts=60)
+    cases += [(L, C) for _, L, C, _ in corpus_geometries() if C.epsilon != 0]
+    for n in (3, 8, 17):
+        for frame in (((1, 2, 1), (F(1, 2), 1)), ((2, -3, 3), (0, F(-1, 7)))):
+            cases.append(_spiral(n, frame))
+    irrational = 0
+    for L, C in cases:
+        index = C.lines()
+        images = C.lattice()
+        isegs = [(images[e.tail], images[e.head]) for e in L.edges]
+        assert index.segments == isegs
+        assert index.line_of == [canonical_line(a, b) if a != b else None for a, b in isegs]
+        groups = bars_by_line(isegs)
+        assert list(index.bars.items()) == list(groups.items())
+        stations = stations_by_line(groups, set(images.values()))
+        assert index.stations == {
+            line: ([s for s, _ in st], [p for _, p in st]) for line, st in stations.items()
+        }
+        segs = [C.segment(e) for e in L.edges]
+        want = overlapping_pairs(segs)
+        assert list(index.overlaps) == list(want)
+        for key, v in index.overlaps.items():
+            _same_fields(v, want[key], key)
+            irrational += v.radicand != 1
+        A = AnnotationMatrix.from_configuration(C)
+        for i in range(len(segs)):
+            for j in range(len(segs)):
+                want = SqrtRational(0) if i == j else ord_value(segs[i], segs[j])
+                _same_fields(A.value(i, j), want, (i, j))
+    assert irrational >= 500
 
 
 def _near(rng, x, den):

@@ -27,6 +27,7 @@ from helpers import (
 from linkfold.annotations import AnnotationMatrix, annotate
 from linkfold.corridors import (
     Corridor,
+    _has_cycle,
     corridor_order,
     corridors,
     delta_bound,
@@ -163,6 +164,42 @@ def test_corridor_order_cycle_rejected():
     (c,) = corridors(L, C)
     with pytest.raises(CorridorError, match="inconsistent layer order"):
         corridor_order(c, A, L, C)
+
+
+def _reference_has_cycle(adj):
+    # Kahn: a graph is acyclic iff repeatedly removing sources empties it
+    indeg = {u: 0 for u in adj}
+    for outs in adj.values():
+        for v in outs:
+            indeg[v] += 1
+    ready = [u for u in adj if indeg[u] == 0]
+    seen = 0
+    while ready:
+        seen += 1
+        for v in adj[ready.pop()]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                ready.append(v)
+    return seen != len(adj)
+
+
+def test_layer_cycle_check_deep_and_random():
+    # the layer graph of an n-bar layered strip is a chain ascending by
+    # index; a recursive walk ran out of stack on such chains
+    n = 5000
+    chain = {i: {i + 1} for i in range(n)}
+    chain[n] = set()
+    assert not _has_cycle(chain)
+    chain[n] = {n // 2}
+    assert _has_cycle(chain)
+    rng = random.Random(88)
+    found = 0
+    for _ in range(400):
+        k = rng.randint(1, 9)
+        adj = {u: {v for v in range(k) if rng.random() < 0.2} - {u} for u in range(k)}
+        assert _has_cycle(adj) == _reference_has_cycle(adj)
+        found += _has_cycle(adj)
+    assert 50 < found < 350
 
 
 def test_corridor_order_respects_every_segment():

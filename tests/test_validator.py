@@ -31,7 +31,9 @@ from helpers import (
     sweep_inputs,
 )
 import linkfold.annotations
+import linkfold.geometry
 from linkfold.annotations import AnnotationMatrix, annotate
+from linkfold.corridors import corridor_order, corridors, delta_bound
 from linkfold.document import resolve_annotations
 from linkfold.errors import AnnotationError, LinkageError
 from linkfold.linkage import Configuration, Linkage, configuration_membership
@@ -376,7 +378,7 @@ def test_microscopic_direct_use():
     assert check_microscopic(vd, wd.orders).status == "pass"
 
 
-def _mutated(rng, A, overlapping):
+def _mutated(rng, C, A, overlapping):
     """A with one entry negated, doubled or zeroed, half the time on an
     overlapping pair; returns (matrix, pair)."""
     if overlapping and rng.random() < 0.5:
@@ -386,7 +388,7 @@ def _mutated(rng, A, overlapping):
         pair = (i, j)
     v = A.value(*pair)
     new = rng.choice([-v, v.scale(2), v.scale(0)])
-    return AnnotationMatrix.from_segments(A.segments, {**A.overrides, pair: new}), pair
+    return AnnotationMatrix.from_configuration(C, {**A.overrides, pair: new}), pair
 
 
 def test_well_annotated_matches_dense_reference():
@@ -399,8 +401,7 @@ def test_well_annotated_matches_dense_reference():
     for _ in range(120):
         L, P, _ = random_sa_instance(rng)
         C = Configuration(L, P, big_eps(L, P))
-        A = AnnotationMatrix.from_segments([C.segment(e) for e in L.edges])
-        bases.append((L, C, A))
+        bases.append((L, C, AnnotationMatrix.from_configuration(C)))
     statuses = []
     mutants = {"overlapping": 0, "other": 0}
     for L, C, A in bases:
@@ -409,7 +410,7 @@ def test_well_annotated_matches_dense_reference():
         overlapping = reference_overlapping_pairs(segs)
         if A.n >= 2:
             for _ in range(3):
-                B, pair = _mutated(rng, A, overlapping)
+                B, pair = _mutated(rng, C, A, overlapping)
                 mutants["overlapping" if pair in overlapping else "other"] += 1
                 cases.append(B)
         for B in cases:
@@ -460,6 +461,37 @@ def test_resolve_and_validate_call_counts(monkeypatch):
     counts = count_calls(monkeypatch, linkfold.annotations, names)
     A = resolve_annotations(L, C, entries)
     assert validate(L, C, A).ok
-    # one overlap_length per overlapping ordered pair, shared by resolve and
-    # validate; every ord_value default is either overridden or never read
-    assert counts == {"overlap_length": 432, "ord_value": 0}
+    # one overlap_length per overlapping unordered pair, shared by resolve
+    # and validate; every ord_value default is either overridden or never read
+    assert counts == {"overlap_length": 216, "ord_value": 0}
+
+
+def test_one_line_index_per_configuration(monkeypatch):
+    # resolve, validate, corridors, layer orders and delta_bound on one
+    # configuration share its line index: canonical_line runs once per
+    # positive bar (plus each corridor's input line) and overlap_length
+    # once per overlapping unordered pair
+    xs = [0, 5, 1, 6, 2, 7, 3, 8]
+    specs, coords, heights = [], {}, {}
+    frames = {"a": ((1, 0, 1), (0, 0)), "b": ((3, 4, 5), (0, 1)), "c": ((0, 1, 1), (20, 0))}
+    for tag, frame in frames.items():
+        Ls, Cs, hs = layered_strip(xs, hinged=True, frame=frame)
+        specs += [(tag + e.id, tag + e.tail, tag + e.head, e.rest_length) for e in Ls.edges]
+        coords.update({tag + v: p for v, p in Cs.placement.items()})
+        heights.update({tag + e: h for e, h in hs.items()})
+    L = mk_linkage(specs)
+    C = conf(L, coords)
+    entries = layer_entries(L, C, heights)
+    pairs = reference_overlapping_pairs([C.segment(e) for e in L.edges])
+    lines = count_calls(monkeypatch, linkfold.geometry, ("canonical_line",))
+    overlaps = count_calls(monkeypatch, linkfold.annotations, ("overlap_length",))
+    A = resolve_annotations(L, C, entries)
+    assert validate(L, C, A).ok
+    cs = corridors(L, C)
+    for c in cs:
+        corridor_order(c, A, L, C)
+    delta_bound(L, C)
+    positive = sum(e.rest_length > 0 for e in L.edges)
+    assert len(cs) == 3 and positive == 21 < len(L.edges)
+    assert lines["canonical_line"] == positive + len(cs)
+    assert 2 * overlaps["overlap_length"] == len(pairs) > 0
