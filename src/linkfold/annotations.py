@@ -9,6 +9,7 @@ length, carried as SqrtRational.
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 
@@ -105,24 +106,28 @@ class LineIndex:
 
     ``Configuration.lines()`` builds it once. ``segments`` holds each
     edge's lattice images (D*tail, D*head) and ``line_of`` its canonical
-    line there, None for a point bar. Per line, ``bars`` lists the bars
-    as (lo, hi, edge index), their parameter intervals along the line's
-    canonical direction sorted by start, and ``stations`` the sorted
-    parameters and images of the locations on it. ``overlaps`` holds the
-    positive overlap_length of every overlapping ordered pair in the
-    input's units, row-major.
+    line there, None for a point bar, and ``orient`` its orientation
+    along that line's canonical direction (+1 or -1; 0 for a point bar).
+    Per line, ``bars`` lists the bars as (lo, hi, edge index), their
+    parameter intervals along the line's canonical direction sorted by
+    start, ``pairs`` its overlapping unordered pairs (i < j) in ascending
+    order, and ``stations`` the sorted parameters and images of the
+    locations on it. ``overlaps`` holds the positive overlap_length of
+    every overlapping ordered pair in the input's units, row-major.
     """
 
     def __init__(self, linkage: Linkage, images: dict, D: int) -> None:
         self.D = D
         self.segments = segs = [(images[e.tail], images[e.head]) for e in linkage.edges]
         self.line_of = [canonical_line(a, b) if a != b else None for a, b in segs]
+        self.orient = [0] * len(segs)
         self.bars: dict[Line, list[tuple[int, int, int]]] = {}
         for i, line in enumerate(self.line_of):
             if line is not None:
                 (ax, ay), (bx, by) = segs[i]
                 dx, dy = canonical_line_direction(line)
                 sa, sb = ax * dx + ay * dy, bx * dx + by * dy
+                self.orient[i] = 1 if sb > sa else -1
                 self.bars.setdefault(line, []).append((min(sa, sb), max(sa, sb), i))
         # parallel lines share one pass over the locations
         on_line: dict[Line, list[tuple[int, tuple]]] = {line: [] for line in self.bars}
@@ -141,11 +146,14 @@ class LineIndex:
         # each line's bars are swept by start, so overlap_length runs once
         # per unordered overlapping pair
         overlaps = {}
-        for group in self.bars.values():
+        self.pairs: dict[Line, list[tuple[int, int]]] = {}
+        for line, group in self.bars.items():
+            pairs = self.pairs[line] = []
             active: list[tuple[int, int]] = []
             for lo, hi, j in group:
                 active = [(h, i) for h, i in active if h > lo]
                 for _, i in active:
+                    pairs.append((min(i, j), max(i, j)))
                     v = overlap_length(segs[i], segs[j])
                     overlaps[i, j] = self.unscale(v)
                     if v.radicand != 1:
@@ -155,6 +163,7 @@ class LineIndex:
                         v = SqrtRational._normal(v.coeff * gi / gj, v.radicand * gj**2 / gi**2)
                     overlaps[j, i] = self.unscale(v)
                 active.append((hi, j))
+            pairs.sort()
         self.overlaps = dict(sorted(overlaps.items()))
 
     def unscale(self, v: SqrtRational) -> SqrtRational:
@@ -242,6 +251,42 @@ class AnnotationMatrix:
 
     def __hash__(self) -> int:
         return hash(self.entries)
+
+
+def line_layering(index: LineIndex, annotation: AnnotationMatrix, line: Line):
+    """Layer one line's bars from the annotation signs, bottom layer first.
+
+    Each overlapping pair (i, j) is read once: both entries must be
+    nonzero and agree, orient_i*sign(v_ij) = -orient_j*sign(v_ji), and
+    then j lies above i iff orient_i*sign(v_ij) > 0. One Kahn pass, the
+    smallest ready edge index first, orders the line. Returns (order,
+    None), or (None, fault): a detail and the first bad pair, if any.
+    """
+    orient = index.orient
+    above: dict[int, list[int]] = {i: [] for _, _, i in index.bars[line]}
+    indeg = dict.fromkeys(above, 0)
+    for i, j in index.pairs[line]:
+        s, t = annotation.value(i, j).sign(), annotation.value(j, i).sign()
+        if s == 0 or t == 0:
+            return None, ("zero annotation between overlapping bars", i, j)
+        if orient[i] * s != -orient[j] * t:
+            return None, ("inconsistent layer order between overlapping bars", i, j)
+        low, high = (i, j) if orient[i] * s > 0 else (j, i)
+        above[low].append(high)
+        indeg[high] += 1
+    ready = [i for i, d in indeg.items() if d == 0]
+    heapq.heapify(ready)
+    order: list[int] = []
+    while ready:
+        i = heapq.heappop(ready)
+        order.append(i)
+        for j in above[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                heapq.heappush(ready, j)
+    if len(order) < len(above):
+        return None, ("inconsistent layer order in the corridor on line",)
+    return tuple(order), None
 
 
 def annotate(linkage: Linkage, configuration: Configuration) -> AnnotationMatrix:

@@ -2,18 +2,17 @@
 
 Bars of positive length are grouped by their supporting line; each
 corridor is cut into segments at every vertex location on the line, and
-annotation signs impose a partial "above" relation per segment that
-must extend to a consistent global layering of the corridor.
+annotation signs on its overlapping bar pairs impose an "above"
+relation that must extend to one layering of the corridor.
 """
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .annotations import AnnotationMatrix
+from .annotations import AnnotationMatrix, line_layering
 from .errors import CorridorError
 from .geometry import (
     Point,
@@ -21,11 +20,8 @@ from .geometry import (
     canonical_line,
     canonical_line_direction,
     cross,
-    dot,
     rot90ccw,
-    sign,
     sqnorm,
-    vsub,
 )
 from .linkage import Configuration, Linkage, require_conf0
 from .rationals import sqrt_lower_bound
@@ -101,81 +97,19 @@ def corridor_order(
     linkage: Linkage,
     configuration: Configuration,
 ) -> CorridorOrder:
-    """Extend the per-segment above relation to one layering of the corridor.
+    """The corridor's layering, bottom layer first, from line_layering.
 
-    Constraints are added segment by segment along the corridor
-    direction; the first segment whose constraints close a cycle is
-    reported in the error.
+    A zero or disagreeing entry on an overlapping pair, or a cycle, is
+    an error.
     """
-    images = configuration.lattice()
-    orient = {}
-    for i in corridor.bars:
-        e = linkage.edges[i]
-        orient[i] = sign(dot(vsub(images[e.head], images[e.tail]), corridor.direction))
-
-    above: dict[int, set[int]] = {i: set() for i in corridor.bars}
-    for seg in corridor.segments:
-        for x in range(len(seg.bars)):
-            for y in range(x + 1, len(seg.bars)):
-                i, j = seg.bars[x], seg.bars[y]
-                s = annotation.value(i, j).sign()
-                if s == 0:
-                    raise CorridorError(
-                        f"zero annotation between overlapping bars "
-                        f"{linkage.edges[i].id} and {linkage.edges[j].id}"
-                    )
-                if s * orient[i] > 0:
-                    above[i].add(j)  # j lies above i
-                else:
-                    above[j].add(i)
-        if _has_cycle(above):
-            raise CorridorError(
-                f"inconsistent layer order at corridor segment starting "
-                f"{tuple(map(str, seg.start))}"
-            )
-
-    indeg = {i: 0 for i in corridor.bars}
-    for i, outs in above.items():
-        for j in outs:
-            indeg[j] += 1
-    ready = [i for i in corridor.bars if indeg[i] == 0]
-    heapq.heapify(ready)
-    order: list[int] = []
-    while ready:
-        i = heapq.heappop(ready)
-        order.append(i)
-        for j in above[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                heapq.heappush(ready, j)
-    if len(order) != len(corridor.bars):
-        raise CorridorError("inconsistent layer order in corridor")
+    index = configuration.lines()
+    order, fault = line_layering(index, annotation, index.line_of[corridor.bars[0]])
+    if fault is not None:
+        detail, *pair = fault
+        names = " and ".join(linkage.edges[i].id for i in pair)
+        raise CorridorError(f"{detail} {names or tuple(map(str, corridor.line))}")
     ids = tuple(linkage.edges[i].id for i in order)
     return CorridorOrder(corridor, ids, {eid: k for k, eid in enumerate(ids)})
-
-
-def _has_cycle(adj: dict[int, set[int]]) -> bool:
-    """True iff the directed graph has a cycle; depth-first, with an explicit stack."""
-    state: dict[int, int] = {}  # 1 while on the current path, 2 when done
-    for root in adj:
-        if root in state:
-            continue
-        state[root] = 1
-        stack = [(root, iter(adj[root]))]
-        while stack:
-            u, succ = stack[-1]
-            for v in succ:
-                st = state.get(v, 0)
-                if st == 1:
-                    return True
-                if st == 0:
-                    state[v] = 1
-                    stack.append((v, iter(adj[v])))
-                    break
-            else:
-                state[u] = 2
-                stack.pop()
-    return False
 
 
 def delta_bound(linkage: Linkage, configuration: Configuration) -> Fraction:

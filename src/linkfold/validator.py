@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import combinations
 
-from .annotations import AnnotationMatrix, strict_crossing
+from .annotations import AnnotationMatrix, LineIndex, line_layering, strict_crossing
 from .errors import AnnotationError
 from .geometry import angle_descending_key, box_pairs, primitive_direction, vsub
 from .linkage import (
@@ -206,58 +207,71 @@ def _beats(annotation: AnnotationMatrix, ia: Inbound, ib: Inbound) -> bool:
 
 
 def check_well_ordered(
-    views: tuple[MagnifiedView, ...], annotation: AnnotationMatrix
+    views: tuple[MagnifiedView, ...],
+    annotation: AnnotationMatrix,
+    configuration: Configuration,
 ) -> WellOrderResult:
-    """Resolve each entrance into a linear order using annotation signs.
+    """Resolve each entrance into a linear order from its line's layering.
 
-    Two germs sharing an entrance must carry mutually consistent nonzero
-    annotation entries, and the induced comparison must be transitive.
+    The germs at one entrance are bars covering the next stretch of one
+    line, all with one sign of dir_flag times orientation along the line.
+    So each line is layered once (line_layering), and an entrance lists
+    its germs by layer height times that sign. If some line has no
+    layering, its entrances are scanned in view order for a witness.
     """
-
-    def fail(witness: tuple, detail: str) -> WellOrderResult:
-        return WellOrderResult(CheckReport("well-ordered", "fail", witness, detail), ())
-
+    index = configuration.lines()
+    layerings = {line: line_layering(index, annotation, line) for line in index.bars}
+    faulty = {line for line, (_, fault) in layerings.items() if fault}
+    if faulty:
+        return WellOrderResult(_first_fault(views, annotation, index, faulty), ())
+    height = {i: h for order, _ in layerings.values() for h, i in enumerate(order)}
     all_orders: list[tuple[int, ...]] = []
     for view in views:
         order: list[int] = []
         for _, idxs in view.entrances:
-            if len(idxs) == 1:
-                order.extend(idxs)
+            ib = view.inbounds[idxs[0]]
+            up = ib.dir_flag * index.orient[ib.edge_index]
+            order.extend(
+                sorted(idxs, key=lambda k: up * height[view.inbounds[k].edge_index])
+            )
+        all_orders.append(tuple(order))
+    return WellOrderResult(CheckReport("well-ordered", "pass"), tuple(all_orders))
+
+
+def _first_fault(views, annotation, index: LineIndex, faulty: set) -> CheckReport:
+    """The first failing entrance on a faulty line, in view order.
+
+    Two germs sharing an entrance must carry mutually consistent nonzero
+    annotation entries, and the induced comparison must be transitive.
+    """
+    for view in views:
+        for _, idxs in view.entrances:
+            if index.line_of[view.inbounds[idxs[0]].edge_index] not in faulty:
                 continue
-            for a in range(len(idxs)):
-                for b in range(a + 1, len(idxs)):
-                    ia, ib = view.inbounds[idxs[a]], view.inbounds[idxs[b]]
-                    va = annotation.value(ia.edge_index, ib.edge_index)
-                    vb = annotation.value(ib.edge_index, ia.edge_index)
-                    if va.is_zero or vb.is_zero:
-                        return fail(
-                            (view.location, ia.label(), ib.label()),
-                            "zero annotation between germs at one entrance",
-                        )
-                    if ia.dir_flag * va.sign() != -ib.dir_flag * vb.sign():
-                        return fail(
-                            (view.location, ia.label(), ib.label()),
-                            "annotation pair disagrees about the local order",
-                        )
+            for a, b in combinations(idxs, 2):
+                ia, ib = view.inbounds[a], view.inbounds[b]
+                va = annotation.value(ia.edge_index, ib.edge_index)
+                vb = annotation.value(ib.edge_index, ia.edge_index)
+                if va.is_zero or vb.is_zero:
+                    detail = "zero annotation between germs at one entrance"
+                elif ia.dir_flag * va.sign() != -ib.dir_flag * vb.sign():
+                    detail = "annotation pair disagrees about the local order"
+                else:
+                    continue
+                witness = (view.location, ia.label(), ib.label())
+                return CheckReport("well-ordered", "fail", witness, detail)
             # each pair has one winner now, so the germs form a tournament,
             # which is transitive iff its win counts all differ
             wins = {
-                k: sum(
-                    1
-                    for m in idxs
-                    if m != k and _beats(annotation, view.inbounds[k], view.inbounds[m])
-                )
+                sum(_beats(annotation, view.inbounds[k], view.inbounds[m]) for m in idxs)
                 for k in idxs
             }
-            if len(set(wins.values())) != len(idxs):
+            if len(wins) < len(idxs):
                 cyc = _find_cycle(annotation, view, idxs)
-                return fail(
-                    (view.location,) + tuple(view.inbounds[k].label() for k in cyc),
-                    "three-way cycle in the entrance order",
-                )
-            order.extend(sorted(idxs, key=lambda k: -wins[k]))
-        all_orders.append(tuple(order))
-    return WellOrderResult(CheckReport("well-ordered", "pass"), tuple(all_orders))
+                witness = (view.location,) + tuple(view.inbounds[k].label() for k in cyc)
+                detail = "three-way cycle in the entrance order"
+                return CheckReport("well-ordered", "fail", witness, detail)
+    raise AnnotationError("a line has no layering, yet no entrance on it fails")
 
 
 def _find_cycle(
@@ -344,7 +358,7 @@ def validate(
     if r2.status == "fail":
         return bail([r1, r2])
     views = magnified_views(linkage, configuration)
-    wo = check_well_ordered(views, annotation)
+    wo = check_well_ordered(views, annotation, configuration)
     if wo.report.status == "fail":
         return bail([r1, r2, wo.report])
     r4 = check_microscopic(views, wo.orders)

@@ -8,6 +8,7 @@ geometric order value.
 
 from __future__ import annotations
 
+import heapq
 import random
 import sys
 from fractions import Fraction
@@ -21,7 +22,7 @@ from linkfold.annotations import (
     overlap_length,
     strict_crossing,
 )
-from linkfold.corridors import Corridor, CorridorSegment
+from linkfold.corridors import Corridor, CorridorOrder, CorridorSegment
 from linkfold.geometry import (
     angle_descending_key,
     canonical_line,
@@ -41,7 +42,7 @@ from linkfold.geometry import (
 )
 from linkfold.document import SparseAnnotation, parse_linkage_file, resolve_annotations
 from linkfold.chains import ChainShape
-from linkfold.errors import ChainError, LinkageError
+from linkfold.errors import ChainError, CorridorError, LinkageError
 from linkfold.linkage import (
     Configuration,
     DisjointSets,
@@ -279,20 +280,39 @@ def hinged_strip(xs):
 
 def layer_entries(linkage, configuration, heights):
     """Document layer entries, both orders, for every overlapping bar pair."""
+    return sign_entries(
+        linkage, configuration, lambda a, b: b if heights[b] > heights[a] else a
+    )
+
+
+def random_sign_entries(rng: random.Random, linkage, configuration):
+    """Layer entries for every overlapping pair, each pair's upper bar a
+    coin toss: consistent in both orders, often cyclic."""
+    tosses = {}
+    return sign_entries(
+        linkage,
+        configuration,
+        lambda a, b: tosses.setdefault(frozenset((a, b)), rng.choice((a, b))),
+    )
+
+
+def sign_entries(linkage, configuration, upper):
+    """Layer entries, both orders, for every overlapping bar pair;
+    upper(a, b) names which of the bars a and b lies above."""
     segs = [configuration.segment(e) for e in linkage.edges]
     entries = []
     for i, j in reference_overlapping_pairs(segs):
         d = canonical_line_direction(canonical_line(*segs[i]))
         orient_i = sign(dot(vsub(segs[i][1], segs[i][0]), d))
         ei, ej = linkage.edges[i].id, linkage.edges[j].id
-        up = 1 if heights[ej] > heights[ei] else -1
+        up = 1 if upper(ei, ej) == ej else -1
         entries.append(SparseAnnotation(ei, ej, layer=orient_i * up))
     return tuple(entries)
 
 
-def random_layered_flat(rng: random.Random, n: int):
-    """Zigzag or nested-spiral strip of n bars, maybe hinged, in a random
-    rational frame; returns (L, C, heights)."""
+def random_strip_xs(rng: random.Random, n: int):
+    """Stations of an n-bar zigzag or nested-spiral strip starting at 0;
+    every later station is positive."""
     xs = [0]
     if rng.random() < 0.5:
         for k in range(n):
@@ -302,9 +322,60 @@ def random_layered_flat(rng: random.Random, n: int):
         lengths = sorted(rng.sample(range(1, 3 * n + 1), n), reverse=True)
         for k, length in enumerate(lengths):
             xs.append(xs[-1] + (length if k % 2 == 0 else -length))
+    return xs
+
+
+def random_layered_flat(rng: random.Random, n: int):
+    """Zigzag or nested-spiral strip of n bars, maybe hinged, in a random
+    rational frame; returns (L, C, heights)."""
+    xs = random_strip_xs(rng, n)
     origin = (F(rng.randint(-3, 3), 2), F(rng.randint(-3, 3)))
     frame = (rng.choice(RATIONAL_DIRS), origin)
     return layered_strip(xs, hinged=rng.random() < 0.3, frame=frame)
+
+
+def random_layered_fan(rng: random.Random):
+    """2-4 layered strips of 2-6 bars on distinct lines through one hub.
+
+    Each strip is a random zigzag or nested spiral, maybe hinged, along
+    its own Pythagorean direction out of the shared vertex "o", so the
+    strips meet only there; bar k of a strip is at layer k. Returns
+    (L, C, heights).
+    """
+    dirs, k = [], rng.randint(2, 4)
+    while len(dirs) < k:
+        d = rng.choice(RATIONAL_DIRS)
+        if all(cross(d[:2], e[:2]) != 0 for e in dirs):
+            dirs.append(d)
+    origin = (F(rng.randint(-3, 3), 2), F(rng.randint(-3, 3)))
+    specs, coords, heights = [], {}, {}
+    for tag, d in zip("abcd", dirs):
+        xs = random_strip_xs(rng, rng.randint(2, 6))
+        Ls, Cs, hs = layered_strip(xs, hinged=rng.random() < 0.3, frame=(d, origin))
+
+        def name(v, tag=tag):
+            return "o" if v == "v0" else tag + v
+
+        specs += [
+            (tag + e.id, name(e.tail), name(e.head), e.rest_length) for e in Ls.edges
+        ]
+        coords.update((name(v), p) for v, p in Cs.placement.items())
+        heights.update((tag + e, h) for e, h in hs.items())
+    L = mk_linkage(specs)
+    return L, conf(L, coords), heights
+
+
+def mutated_annotation(rng: random.Random, C, A, overlapping):
+    """A with one entry negated, doubled or zeroed, half the time on an
+    overlapping pair; returns (matrix, pair)."""
+    if overlapping and rng.random() < 0.5:
+        pair = rng.choice(sorted(overlapping))
+    else:
+        i, j = rng.sample(range(A.n), 2)
+        pair = (i, j)
+    v = A.value(*pair)
+    new = rng.choice([-v, v.scale(2), v.scale(0)])
+    return AnnotationMatrix.from_configuration(C, {**A.overrides, pair: new}), pair
 
 
 def corpus_geometries():
@@ -1410,3 +1481,81 @@ def count_calls(monkeypatch, module, names):
                 if getattr(mod, name, None) is original:
                     monkeypatch.setattr(mod, name, counted)
     return counts
+
+
+def reference_corridor_order(corridor, annotation, linkage, configuration):
+    """corridor_order adding each segment's pairs and rechecking for a
+    cycle after every segment, kept as an oracle.
+
+    It reads only the entry v_ij with i < j of each pair, so it accepts
+    a reverse entry that is zero or disagrees.
+    """
+    images = configuration.lattice()
+    orient = {}
+    for i in corridor.bars:
+        e = linkage.edges[i]
+        orient[i] = sign(dot(vsub(images[e.head], images[e.tail]), corridor.direction))
+
+    above = {i: set() for i in corridor.bars}
+    for seg in corridor.segments:
+        for x in range(len(seg.bars)):
+            for y in range(x + 1, len(seg.bars)):
+                i, j = seg.bars[x], seg.bars[y]
+                s = annotation.value(i, j).sign()
+                if s == 0:
+                    raise CorridorError(
+                        f"zero annotation between overlapping bars "
+                        f"{linkage.edges[i].id} and {linkage.edges[j].id}"
+                    )
+                if s * orient[i] > 0:
+                    above[i].add(j)  # j lies above i
+                else:
+                    above[j].add(i)
+        if _ref_has_cycle(above):
+            raise CorridorError(
+                f"inconsistent layer order at corridor segment starting "
+                f"{tuple(map(str, seg.start))}"
+            )
+
+    indeg = {i: 0 for i in corridor.bars}
+    for i, outs in above.items():
+        for j in outs:
+            indeg[j] += 1
+    ready = [i for i in corridor.bars if indeg[i] == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        i = heapq.heappop(ready)
+        order.append(i)
+        for j in above[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                heapq.heappush(ready, j)
+    if len(order) != len(corridor.bars):
+        raise CorridorError("inconsistent layer order in corridor")
+    ids = tuple(linkage.edges[i].id for i in order)
+    return CorridorOrder(corridor, ids, {eid: k for k, eid in enumerate(ids)})
+
+
+def _ref_has_cycle(adj):
+    """True iff the directed graph has a cycle; depth-first, with an explicit stack."""
+    state = {}  # 1 while on the current path, 2 when done
+    for root in adj:
+        if root in state:
+            continue
+        state[root] = 1
+        stack = [(root, iter(adj[root]))]
+        while stack:
+            u, succ = stack[-1]
+            for v in succ:
+                st = state.get(v, 0)
+                if st == 1:
+                    return True
+                if st == 0:
+                    state[v] = 1
+                    stack.append((v, iter(adj[v])))
+                    break
+            else:
+                state[u] = 2
+                stack.pop()
+    return False

@@ -1,0 +1,153 @@
+"""Mutants of the library, each with the tests that must kill it.
+
+Every entry names a file under ``src/linkfold``, an exact snippet that
+occurs there once, its replacement, and the tests (pytest node ids) that
+must fail once the replacement is made. ``tests/test_mutants.py`` checks
+that every snippet still occurs exactly once and every named test
+exists.
+
+Run the table with
+
+    python tests/mutants.py [NAME ...]
+
+It copies ``src/``, ``tests/``, ``bench/`` and ``pyproject.toml`` to a
+temporary directory once per mutant, applies the mutant to the copy of
+``src/`` and runs the named tests there in one pytest process, one
+mutant after another. It prints each named test that still passes and
+exits 1 if any mutant survives. It needs only the standard library and
+pytest.
+"""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/linkfold
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]
+
+
+VALIDATOR = "tests/test_validator.py::"
+CORRIDORS = "tests/test_corridors.py::"
+
+MUTANTS = (
+    Mutant(
+        "entrance order flipped against the line direction",
+        "validator.py",
+        "up = ib.dir_flag * index.orient[ib.edge_index]",
+        "up = -1",
+        (
+            VALIDATOR + "test_well_ordered_win_counts_match_ranked_verification",
+            VALIDATOR + "test_corpus_gadgets_validate",
+        ),
+    ),
+    Mutant(
+        "pair consistency test dropped",
+        "annotations.py",
+        "if orient[i] * s != -orient[j] * t:",
+        "if False:",
+        (
+            VALIDATOR + "test_well_ordered_win_counts_match_ranked_verification",
+            CORRIDORS + "test_corridor_order_matches_segment_reference",
+            "tests/test_cli.py::test_corridors_rejects_what_validate_rejects",
+        ),
+    ),
+    Mutant(
+        "Kahn pass takes the largest ready index",
+        "annotations.py",
+        "i = heapq.heappop(ready)",
+        "i = ready.pop(ready.index(max(ready)))",
+        (
+            CORRIDORS + "test_corridor_order_matches_segment_reference",
+            CORRIDORS + "test_layer_cycle_check_deep_and_random",
+        ),
+    ),
+    Mutant(
+        "per-entrance scan run on every line",
+        "validator.py",
+        "            if index.line_of[view.inbounds[idxs[0]].edge_index] not in faulty:"
+        "\n                continue\n",
+        "",
+        (VALIDATOR + "test_well_ordered_scans_only_faulty_lines",),
+    ),
+    Mutant(
+        "reverse overlap keeps the forward fields",
+        "annotations.py",
+        "if v.radicand != 1:",
+        "if False:",
+        ("tests/test_annotations.py::test_line_index_matches_oracles",),
+    ),
+    Mutant(
+        "matrix defaults not unscaled",
+        "annotations.py",
+        "return self.unscale(ord_value(self.segments[i], self.segments[j]))",
+        "return ord_value(self.segments[i], self.segments[j])",
+        ("tests/test_annotations.py::test_line_index_matches_oracles",),
+    ),
+    Mutant(
+        "short well-annotated path for every matrix",
+        "validator.py",
+        "if annotation.lines is index:",
+        "if True:",
+        (VALIDATOR + "test_well_annotated_foreign_defaults_check_every_pair",),
+    ),
+    Mutant(
+        "delta_bound renamed",
+        "corridors.py",
+        "def delta_bound(",
+        "def delta_bound_renamed(",
+        ("tests/test_spans.py::test_span_keys_name_defined_functions",),
+    ),
+)
+
+
+def run(mutant: Mutant) -> list[str]:
+    """The named tests that still pass with the mutant applied."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for part in ("src", "tests", "bench"):
+            shutil.copytree(
+                REPO / part, root / part, ignore=shutil.ignore_patterns("__pycache__")
+            )
+        shutil.copy(REPO / "pyproject.toml", root)
+        target = root / "src" / "linkfold" / mutant.file
+        text = target.read_text(encoding="utf-8")
+        if text.count(mutant.snippet) != 1:
+            raise SystemExit(f"{mutant.name}: snippet does not occur exactly once")
+        text = text.replace(mutant.snippet, mutant.replacement)
+        target.write_text(text, encoding="utf-8")
+        command = [sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider"]
+        proc = subprocess.run(
+            command + list(mutant.tests), cwd=root, capture_output=True, text=True
+        )
+    lines = proc.stdout.splitlines()
+    passed = {line.split()[1] for line in lines if line.startswith("PASSED ")}
+    return [t for t in mutant.tests if t in passed]
+
+
+def main(names: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    survivors = 0
+    for mutant in chosen:
+        alive = run(mutant)
+        survivors += bool(alive)
+        print(f"{'SURVIVED' if alive else 'killed  '}  {mutant.name}")
+        for test in alive:
+            print(f"    still passes: {test}")
+    print(f"{len(chosen) - survivors} of {len(chosen)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

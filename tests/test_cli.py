@@ -230,6 +230,28 @@ def test_corridors(capsys, tmp_path):
     assert "check failed" in err
 
 
+def test_corridors_rejects_what_validate_rejects(capsys, tmp_path):
+    # the reverse entry of an overlapping pair is read too: disagreeing
+    # or zero, corridors fails as validate does
+    L, C, _ = doubled_chain()
+    cases = {
+        "disagree": (SparseAnnotation("e2", "e1", layer=-1), "inconsistent layer order"),
+        "zero": (
+            SparseAnnotation("e2", "e1", value=SqrtRational(0)),
+            "zero annotation between overlapping bars e1 and e2",
+        ),
+    }
+    for name, (reverse, message) in cases.items():
+        entries = (SparseAnnotation("e1", "e2", layer=1), reverse)
+        text = write_document(linkage=L, configuration=C, annotations=entries)
+        doc = write(tmp_path / f"{name}.json", text)
+        code, _, _ = run(capsys, "validate", doc)
+        assert code == 2, name
+        code, out, err = run(capsys, "corridors", doc)
+        assert code == 2 and out == "", name
+        assert f"check failed: {message}" in err, name
+
+
 def test_perturb_document(capsys, tmp_path):
     doc = valid_doubled_doc(tmp_path)
     out_path = tmp_path / "perturbed.json"

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,11 +13,15 @@ from helpers import (
     cyclic_gadget,
     degenerate_triangle,
     doubled_chain,
+    layer_entries,
     zero_cluster_star,
     mk_linkage,
+    mutated_annotation,
     perturbation_corpus,
     random_layered_flat,
     random_linkage,
+    random_sign_entries,
+    reference_corridor_order,
     reference_corridors,
     reference_delta_bound,
     spiral4,
@@ -24,16 +29,17 @@ from helpers import (
     sweep_inputs,
     zipper5,
 )
-from linkfold.annotations import AnnotationMatrix, annotate
+from linkfold.annotations import AnnotationMatrix, annotate, line_layering
 from linkfold.corridors import (
     Corridor,
-    _has_cycle,
     corridor_order,
     corridors,
     delta_bound,
 )
+from linkfold.document import resolve_annotations
 from linkfold.errors import CorridorError
 from linkfold.linkage import Configuration, Linkage
+from linkfold.rationals import SqrtRational
 
 F = Fraction
 
@@ -166,21 +172,45 @@ def test_corridor_order_cycle_rejected():
         corridor_order(c, A, L, C)
 
 
-def _reference_has_cycle(adj):
-    # Kahn: a graph is acyclic iff repeatedly removing sources empties it
+def _reference_kahn(adj):
+    # Kahn: a graph is acyclic iff repeatedly removing sources empties
+    # it; taking the smallest source each time gives the layering order
     indeg = {u: 0 for u in adj}
     for outs in adj.values():
         for v in outs:
             indeg[v] += 1
     ready = [u for u in adj if indeg[u] == 0]
-    seen = 0
+    order = []
     while ready:
-        seen += 1
-        for v in adj[ready.pop()]:
+        u = min(ready)
+        ready.remove(u)
+        order.append(u)
+        for v in adj[u]:
             indeg[v] -= 1
             if indeg[v] == 0:
                 ready.append(v)
-    return seen != len(adj)
+    return tuple(order) if len(order) == len(adj) else None
+
+
+def _graph_layering(adj):
+    """line_layering of one line whose overlapping pairs are adj's arcs.
+
+    The stub index puts every node on one line, oriented along it, and
+    each arc u -> v (v above u) gives v_uv = 1 and v_vu = -1; arcs both
+    ways make the pair disagree.
+    """
+    entries = {}
+    for u, outs in adj.items():
+        for v in outs:
+            entries[u, v] = 1
+            entries.setdefault((v, u), -1)
+    index = SimpleNamespace(
+        bars={0: [(0, 1, u) for u in sorted(adj)]},
+        pairs={0: sorted({(min(p), max(p)) for p in entries})},
+        orient=[1] * (max(adj) + 1),
+    )
+    annotation = SimpleNamespace(value=lambda i, j: SqrtRational(entries[i, j]))
+    return line_layering(index, annotation, 0)
 
 
 def test_layer_cycle_check_deep_and_random():
@@ -189,17 +219,71 @@ def test_layer_cycle_check_deep_and_random():
     n = 5000
     chain = {i: {i + 1} for i in range(n)}
     chain[n] = set()
-    assert not _has_cycle(chain)
+    assert _graph_layering(chain) == (tuple(range(n + 1)), None)
     chain[n] = {n // 2}
-    assert _has_cycle(chain)
+    assert _graph_layering(chain)[1] is not None
     rng = random.Random(88)
     found = 0
     for _ in range(400):
         k = rng.randint(1, 9)
         adj = {u: {v for v in range(k) if rng.random() < 0.2} - {u} for u in range(k)}
-        assert _has_cycle(adj) == _reference_has_cycle(adj)
-        found += _has_cycle(adj)
+        order, fault = _graph_layering(adj)
+        assert order == _reference_kahn(adj)
+        assert (fault is None) == (order is not None)
+        found += fault is not None
     assert 50 < found < 350
+
+
+def test_corridor_order_matches_segment_reference():
+    # one layering per line against the per-segment scan: the same order
+    # and psi, and an error exactly where the scan finds one or where an
+    # overlapping pair's entries are zero or disagree (the scan reads
+    # only v_ij, i < j); bases are layered by random heights or by a
+    # coin toss per pair, with single-entry mutants
+    rng = random.Random(4501)
+    seen = {"same order": 0, "both fail": 0, "pair fault": 0}
+    for L, C in sweep_inputs(rng, flats=100, contacts=60):
+        ids = [e.id for e in L.edges]
+        heights = dict(zip(ids, rng.sample(range(len(ids)), len(ids))))
+        overlapping = set(C.lines().overlaps)
+        for entries in (layer_entries(L, C, heights), random_sign_entries(rng, L, C)):
+            A = resolve_annotations(L, C, entries)
+            cases = [A]
+            for _ in range(3 if len(ids) >= 2 else 0):
+                cases.append(mutated_annotation(rng, C, A, overlapping)[0])
+            for B in cases:
+                for c in corridors(L, C):
+                    try:
+                        want = reference_corridor_order(c, B, L, C)
+                    except CorridorError:
+                        want = None
+                    try:
+                        got = corridor_order(c, B, L, C)
+                    except CorridorError:
+                        got = None
+                    orient = {i: _orient(L, C, c, i) for i in c.bars}
+                    bad = any(
+                        B.value(i, j).is_zero
+                        or orient[i] * B.value(i, j).sign()
+                        != -orient[j] * B.value(j, i).sign()
+                        for i, j in overlapping
+                        if i in orient
+                    )
+                    assert (got is None) == (want is None or bad)
+                    if got is not None:
+                        assert (got.order, got.psi) == (want.order, want.psi)
+                        seen["same order"] += len(c.bars) > 1
+                    elif want is None:
+                        seen["both fail"] += 1
+                    else:
+                        seen["pair fault"] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def _orient(L, C, corridor, i):
+    a, b = C.segment(L.edges[i])
+    dx, dy = corridor.direction
+    return 1 if (b[0] - a[0]) * dx + (b[1] - a[1]) * dy > 0 else -1
 
 
 def test_corridor_order_respects_every_segment():

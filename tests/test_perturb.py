@@ -16,7 +16,9 @@ from helpers import (
     hinged_strip,
     interleave_gadget,
     mk_linkage,
+    layer_entries,
     perturbation_corpus,
+    random_layered_fan,
     random_layered_flat,
     reference_is_nontouching,
     reference_sign_check,
@@ -24,9 +26,10 @@ from helpers import (
 )
 from linkfold.annotations import AnnotationMatrix, annotate, ord_value, overlap_length
 from linkfold.corridors import delta_bound
+from linkfold.document import resolve_annotations
 from linkfold.errors import PerturbationError, ValidationFailure
 from linkfold.geometry import sqdist
-from linkfold.linkage import is_nontouching, touch_witness
+from linkfold.linkage import Configuration, is_nontouching, reduce, touch_witness
 from linkfold.perturb import convergence_probe, perturb
 
 F = Fraction
@@ -119,6 +122,30 @@ def test_perturb_random_hinged_flats():
         for delta in (F(1, 4 * len(L.edges)), F(1, 40 * len(L.edges))):
             res = perturb(L, C, A, delta)
             assert reference_is_nontouching(res.linkage, res.configuration)
+
+
+def test_perturb_layered_flats_and_fans_at_shrinking_radii():
+    # every valid layered flat (zigzag or spiral, hinged or not) and fan
+    # of strips on several lines perturbs at delta, delta/4 and delta/16
+    # for delta = bound/2; each output touches nothing, keeps every
+    # fragment within delta_used of home, and reduces back to the input
+    rng = random.Random(2718)
+    cases = [random_layered_flat(rng, rng.randint(2, 8)) for _ in range(16)]
+    cases += [random_layered_fan(rng) for _ in range(6)]
+    hinged = 0
+    for L, C, heights in cases:
+        hinged += not all(e.rest_length for e in L.edges)
+        A = resolve_annotations(L, C, layer_entries(L, C, heights))
+        delta = delta_bound(L, C) / 2
+        for d in (delta, delta / 4, delta / 16):
+            res = perturb(L, C, A, d)
+            assert reference_is_nontouching(res.linkage, res.configuration)
+            assert res.max_displacement_sq <= res.delta_used**2
+            L2, emap = res.linkage, res.extension_map
+            home = {v: C.placement[emap.original_vertex(v)] for v in L2.vertices}
+            RL, RC = reduce(L2, Configuration(L2, home), emap)
+            assert RL == L and RC.placement == C.placement
+    assert hinged >= 5
 
 
 def test_perturb_sign_stability():

@@ -1,6 +1,5 @@
 """Four-stage validity checks and the magnified local pictures they use."""
 
-import itertools
 import random
 from fractions import Fraction
 
@@ -18,11 +17,14 @@ from helpers import (
     layer_entries,
     layered_strip,
     mk_linkage,
+    mutated_annotation,
     perturbation_corpus,
+    random_layered_fan,
     random_layered_flat,
     random_linkage,
     random_nontouching,
     random_sa_instance,
+    random_sign_entries,
     reference_check_well_annotated,
     reference_check_well_ordered,
     reference_germ_classes,
@@ -34,12 +36,11 @@ import linkfold.annotations
 import linkfold.geometry
 from linkfold.annotations import AnnotationMatrix, annotate
 from linkfold.corridors import corridor_order, corridors, delta_bound
-from linkfold.document import resolve_annotations
+from linkfold.document import SparseAnnotation, resolve_annotations
 from linkfold.errors import AnnotationError, LinkageError
 from linkfold.linkage import Configuration, Linkage, configuration_membership
+from linkfold.rationals import SqrtRational
 from linkfold.validator import (
-    Inbound,
-    MagnifiedView,
     _find_interleave,
     check_macroscopic,
     check_microscopic,
@@ -155,7 +156,7 @@ def test_well_annotated_check():
 def test_well_ordered_orders_cover_all_germs():
     for name, L, C, A in perturbation_corpus():
         views = magnified_views(L, C)
-        res = check_well_ordered(views, A)
+        res = check_well_ordered(views, A, C)
         assert res.report.status == "pass", name
         assert len(res.orders) == len(views)
         for view, order in zip(views, res.orders):
@@ -166,7 +167,7 @@ def test_well_ordered_zero_entry():
     L, C, _ = doubled_chain()
     views = magnified_views(L, C)
     zero = AnnotationMatrix.from_rows([[0, 0], [0, 0]])
-    res = check_well_ordered(views, zero)
+    res = check_well_ordered(views, zero, C)
     assert res.report.status == "fail"
     assert "zero annotation" in res.report.detail
     assert res.report.witness[0] == (F(0), F(0))
@@ -176,7 +177,7 @@ def test_well_ordered_inconsistent_pair():
     L, C, _ = doubled_chain()
     views = magnified_views(L, C)
     clash = AnnotationMatrix.from_rows([[0, 1], [-1, 0]])
-    res = check_well_ordered(views, clash)
+    res = check_well_ordered(views, clash, C)
     assert res.report.status == "fail"
     assert "disagrees" in res.report.detail
 
@@ -285,57 +286,40 @@ def test_germ_classes_match_union_find():
     assert shared > 100 and passes > 10
 
 
-def _entrance_views(rng):
-    """One or two views of 2-6 germs at one or two entrances, random signs.
-
-    Each germ is its own bar. Most pairs in a view get consistent
-    nonzero entries with a random winner, so many entrances are
-    tournaments; the rest are random, zero included.
-    """
-    views, rows = [], []
-    for location in range(rng.randint(1, 2)):
-        dirs = [(1, 0), (0, 1)][: rng.randint(1, 2)]
-        first, k = len(rows), rng.randint(2, 6)
-        inbounds = tuple(
-            Inbound(
-                i, f"e{i}", rng.choice(dirs), rng.choice((1, -1)), f"v{i}", "endpoint"
-            )
-            for i in range(first, first + k)
-        )
-        for row in rows:
-            row.extend([0] * k)
-        rows.extend([0] * (first + k) for _ in range(k))
-        for a, b in itertools.combinations(inbounds, 2):
-            if rng.random() < 0.85:
-                sa = rng.choice((1, -1))
-                sb = -sa * a.dir_flag * b.dir_flag
-            else:
-                sa, sb = rng.choice((1, 0, -1)), rng.choice((1, 0, -1))
-            rows[a.edge_index][b.edge_index] = sa * rng.randint(1, 3)
-            rows[b.edge_index][a.edge_index] = sb * rng.randint(1, 3)
-        entrances = tuple(
-            (d, idxs)
-            for d in dirs
-            if (idxs := tuple(m for m, ib in enumerate(inbounds) if ib.direction == d))
-        )
-        views.append(MagnifiedView((F(location), F(0)), inbounds, (0,) * k, entrances))
-    return tuple(views), AnnotationMatrix.from_rows(rows)
-
-
 def test_well_ordered_win_counts_match_ranked_verification():
+    # one layering per line against the per-entrance scan that verifies
+    # its ranked order pair by pair: multi-line fans and flats layered by
+    # height or by a coin toss per overlapping pair (often cyclic), each
+    # with single-entry mutants (negated, doubled or zeroed)
     rng = random.Random(73)
-    outcomes = set()
-    for _ in range(1500):
-        views, A = _entrance_views(rng)
-        got = check_well_ordered(views, A)
-        assert got == reference_check_well_ordered(views, A)
-        outcomes.add(got.report.detail)
-    assert outcomes == {
+    bases = []
+    for k in range(300):
+        if k % 3 == 0:
+            L, C, heights = random_layered_fan(rng)
+            entries = layer_entries(L, C, heights)
+        else:
+            L, C, heights = random_layered_flat(rng, rng.randint(2, 10))
+            if k % 3 == 1:
+                entries = layer_entries(L, C, heights)
+            else:
+                entries = random_sign_entries(rng, L, C)
+        bases.append((L, C, resolve_annotations(L, C, entries)))
+    outcomes = {}
+    for L, C, A in bases:
+        views = magnified_views(L, C)
+        overlapping = set(C.lines().overlaps)
+        mutants = [mutated_annotation(rng, C, A, overlapping)[0] for _ in range(3)]
+        for B in [A] + mutants:
+            got = check_well_ordered(views, B, C)
+            assert got == reference_check_well_ordered(views, B)
+            outcomes[got.report.detail] = outcomes.get(got.report.detail, 0) + 1
+    assert set(outcomes) == {
         "",
         "zero annotation between germs at one entrance",
         "annotation pair disagrees about the local order",
         "three-way cycle in the entrance order",
     }
+    assert min(outcomes.values()) >= 100, outcomes
 
 
 def test_microscopic_relabeling_invariance():
@@ -369,26 +353,13 @@ def test_random_nontouching_configurations_validate():
 def test_microscopic_direct_use():
     L, C, A = interleave_gadget()
     views = magnified_views(L, C)
-    wo = check_well_ordered(views, A)
+    wo = check_well_ordered(views, A, C)
     r = check_microscopic(views, wo.orders)
     assert r.status == "fail"
     Ld, Cd, Ad = doubled_chain()
     vd = magnified_views(Ld, Cd)
-    wd = check_well_ordered(vd, Ad)
+    wd = check_well_ordered(vd, Ad, Cd)
     assert check_microscopic(vd, wd.orders).status == "pass"
-
-
-def _mutated(rng, C, A, overlapping):
-    """A with one entry negated, doubled or zeroed, half the time on an
-    overlapping pair; returns (matrix, pair)."""
-    if overlapping and rng.random() < 0.5:
-        pair = rng.choice(sorted(overlapping))
-    else:
-        i, j = rng.sample(range(A.n), 2)
-        pair = (i, j)
-    v = A.value(*pair)
-    new = rng.choice([-v, v.scale(2), v.scale(0)])
-    return AnnotationMatrix.from_configuration(C, {**A.overrides, pair: new}), pair
 
 
 def test_well_annotated_matches_dense_reference():
@@ -410,7 +381,7 @@ def test_well_annotated_matches_dense_reference():
         overlapping = reference_overlapping_pairs(segs)
         if A.n >= 2:
             for _ in range(3):
-                B, pair = _mutated(rng, C, A, overlapping)
+                B, pair = mutated_annotation(rng, C, A, overlapping)
                 mutants["overlapping" if pair in overlapping else "other"] += 1
                 cases.append(B)
         for B in cases:
@@ -464,6 +435,66 @@ def test_resolve_and_validate_call_counts(monkeypatch):
     # one overlap_length per overlapping unordered pair, shared by resolve
     # and validate; every ord_value default is either overridden or never read
     assert counts == {"overlap_length": 216, "ord_value": 0}
+
+
+def test_validate_reads_each_overlapping_entry_twice(monkeypatch):
+    # a 64-bar nested spiral: every bar overlaps every other, 4032 ordered
+    # pairs; validate reads each entry once for its magnitude and once to
+    # layer the line, however many entrances share the pair
+    lengths = sorted(random.Random(3).sample(range(1, 193), 64), reverse=True)
+    xs = [0]
+    for k, length in enumerate(lengths):
+        xs.append(xs[-1] + (length if k % 2 == 0 else -length))
+    L, C, heights = layered_strip(xs)
+    A = resolve_annotations(L, C, layer_entries(L, C, heights))
+    assert len(C.lines().overlaps) == 64 * 63
+    reads = []
+    value = AnnotationMatrix.value
+
+    def counted(self, i, j):
+        reads.append((i, j))
+        return value(self, i, j)
+
+    monkeypatch.setattr(AnnotationMatrix, "value", counted)
+    assert validate(L, C, A).ok
+    assert len(reads) <= 2 * 64 * 63
+
+
+def test_well_ordered_scans_only_faulty_lines(monkeypatch):
+    # a 32-bar nested spiral that layers and, far along x on another line,
+    # three stacked unit bars annotated in a cycle: the per-entrance scan
+    # that finds the witness reads only the cyclic stack's entrances
+    lengths = sorted(random.Random(5).sample(range(1, 97), 32), reverse=True)
+    xs = [0]
+    for k, length in enumerate(lengths):
+        xs.append(xs[-1] + (length if k % 2 == 0 else -length))
+    Ls, Cs, heights = layered_strip(xs)
+    specs = [(e.id, e.tail, e.head, e.rest_length) for e in Ls.edges]
+    coords = dict(Cs.placement)
+    for k in (1, 2, 3):
+        specs.append((f"F{k}", f"t{k}", f"h{k}", 1))
+        coords.update({f"t{k}": (1000, 1), f"h{k}": (1001, 1)})
+    L = mk_linkage(specs)
+    C = conf(L, coords)
+    signs = ((1, 2, -1), (1, 3, 1), (2, 1, 1), (2, 3, -1), (3, 1, -1), (3, 2, 1))
+    cycle = tuple(
+        SparseAnnotation(f"F{a}", f"F{b}", value=SqrtRational(v)) for a, b, v in signs
+    )
+    A = resolve_annotations(L, C, layer_entries(Ls, Cs, heights) + cycle)
+    views = magnified_views(L, C)
+    reads = []
+    value = AnnotationMatrix.value
+
+    def counted(self, i, j):
+        reads.append((i, j))
+        return value(self, i, j)
+
+    monkeypatch.setattr(AnnotationMatrix, "value", counted)
+    got = check_well_ordered(views, A, C)
+    assert got.report.detail == "three-way cycle in the entrance order"
+    assert len(reads) <= len(C.lines().overlaps) + 100
+    monkeypatch.undo()
+    assert got == reference_check_well_ordered(views, A)
 
 
 def test_one_line_index_per_configuration(monkeypatch):
