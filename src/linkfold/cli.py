@@ -41,7 +41,7 @@ from .perturb import convergence_probe, perturb
 from .rationals import SqrtRational, format_rational, parse_rational
 from .semialgebra import emit_conf, emit_nconf, eval_system, serialize
 from .svgrender import render_svg
-from .validator import validate
+from .validator import check_well_annotated, validate
 
 
 def _say(message: str) -> None:
@@ -172,6 +172,12 @@ def _cmd_corridors(args) -> int:
                 "psi": dict(order.psi),
             }
         )
+    # checked after the layering, whose zero and disagreeing entries keep
+    # their own messages
+    report = check_well_annotated(linkage, conf, ann)
+    if report.status == "fail":
+        bars = " and ".join(report.witness)
+        raise ValidationFailure(f"{report.name}: {report.detail}, bars {bars}")
     _emit_json(
         {
             "corridors": rows,

@@ -34,8 +34,8 @@ class CorridorError(LinkfoldError):
 class PerturbationError(LinkfoldError):
     """No admissible perturbation was produced.
 
-    Carries the offending pair of features from the last verification
-    attempt when one is known.
+    Carries the witness of the failed exact check, such as the offending
+    pair of features, when one is known.
     """
 
     def __init__(self, message: str, offending: object = None) -> None:

@@ -4,9 +4,13 @@ Every vertex is split into per-edge fragments kept inside a disk of
 radius delta around the original location. Positive bars are shifted
 off their corridor line by delta^2 times their layer height, fragments
 are placed where the shifted bar exits the disk, and all zero-length
-material of a merged cluster collapses onto one interior point. The
-resulting placement is rationalized and then verified exactly; on any
-verification miss the radius is halved and the construction retried.
+material of a merged cluster collapses onto one interior point. Floats
+steer this placement once, at delta itself; the rationalized snapshot
+is then certified exactly: every fragment inside the disk, membership,
+nontouching, and annotation signs. A valid input is a limit of
+nontouching configurations, so the construction succeeds at every
+radius below delta_bound and is never retried: any miss raises
+PerturbationError with the witness as its offending tuple.
 """
 
 from __future__ import annotations
@@ -31,13 +35,6 @@ from .rationals import SqrtRational
 from .validator import validate
 
 GOLDEN_ANGLE = 2.399963229728653
-MAX_HALVINGS = 3
-
-
-class _Miss(Exception):
-    def __init__(self, info: tuple) -> None:
-        super().__init__(str(info))
-        self.info = info
 
 
 @dataclass(frozen=True)
@@ -54,29 +51,18 @@ class PerturbationResult:
     max_displacement_sq: Fraction
 
 
-def _circle_exit(
-    ax: float, ay: float, bx: float, by: float, r: float
-) -> float | None:
+def _circle_exit(ax: float, ay: float, bx: float, by: float, r: float) -> float:
     """Parameter s in (0, 1] where A + s(B - A) leaves the disk |p| <= r.
 
-    Requires A strictly inside; returns None when the segment ends
-    before reaching the boundary (far endpoint inside too).
+    On a bar of length l shifted by A = r^2 h u normal to it, A lies
+    inside (|A| < r since r < 1/n) and B outside (|B|^2 = l^2 + |A|^2,
+    and r < l).
     """
     dx, dy = bx - ax, by - ay
     c2 = dx * dx + dy * dy
-    if c2 == 0.0:
-        return None
     c1 = 2.0 * (ax * dx + ay * dy)
     c0 = ax * ax + ay * ay - r * r
-    if c0 >= 0.0:
-        return None
-    disc = c1 * c1 - 4.0 * c2 * c0
-    if disc < 0.0:
-        return None
-    s = (-c1 + math.sqrt(disc)) / (2.0 * c2)
-    if s <= 0.0 or s > 1.0:
-        return None
-    return s
+    return (-c1 + math.sqrt(c1 * c1 - 4.0 * c2 * c0)) / (2.0 * c2)
 
 
 def _float_displacements(
@@ -117,13 +103,10 @@ def _float_displacements(
             w = e.head if e.tail == v else e.tail
             q = C.placement[w]
             h, (ux, uy) = psi_map[e.id]
-            shx, shy = da * da * h * ux, da * da * h * uy
-            ax, ay = shx, shy
-            bx = float(q[0] - p[0]) + shx
-            by = float(q[1] - p[1]) + shy
+            ax, ay = da * da * h * ux, da * da * h * uy
+            bx = float(q[0] - p[0]) + ax
+            by = float(q[1] - p[1]) + ay
             s = _circle_exit(ax, ay, bx, by, da)
-            if s is None:
-                raise _Miss(("no disk exit on shifted bar", v, e.id))
             fx, fy = ax + s * (bx - ax), ay + s * (by - ay)
             disp[(v, k)] = (fx, fy)
             nrm = math.hypot(fx, fy)
@@ -135,16 +118,18 @@ def _float_displacements(
         if cid not in centers:
             # the mean exit of the raised bars keeps their offset normal to
             # the corridor, so extension bars from the centre cross no bar
-            # layered between them; a unit mean direction would shrink it
-            exits = cluster_exits.get(cid, [])
-            ex = sum(x for x, _ in exits) / max(len(exits), 1)
-            ey = sum(y for _, y in exits) / max(len(exits), 1)
+            # layered between them; a unit mean direction would shrink it,
+            # so only a cluster without raised bars takes that direction
+            exits = cluster_exits.get(cid)
             dirs = cluster_dirs.get(cid, [])
             mx = sum(d[0] for d in dirs) / max(len(dirs), 1)
             my = sum(d[1] for d in dirs) / max(len(dirs), 1)
             nrm = math.hypot(mx, my)
-            if math.hypot(ex, ey) > 0.05 * da:
-                centers[cid] = (ex, ey)
+            if exits:
+                centers[cid] = (
+                    sum(x for x, _ in exits) / len(exits),
+                    sum(y for _, y in exits) / len(exits),
+                )
             elif nrm > 1e-9:
                 bx, by = mx / nrm, my / nrm
                 centers[cid] = (0.45 * da * bx, 0.45 * da * by)
@@ -161,11 +146,10 @@ def _rationalized_snapshot(
     linkage: Linkage,
     configuration: Configuration,
     disp: dict[tuple[str, int], tuple[float, float]],
-    da: Fraction,
 ) -> tuple[dict[str, Point], Fraction]:
-    """Exact fragment placement with displacements clamped inside da."""
+    """Exact fragment placement, displacements truncated to 10^-12, and
+    the largest squared displacement."""
     scale = 10**12
-    da2 = da * da
     placement: dict[str, Point] = {}
     max_d2 = Fraction(0)
     for v in linkage.vertices:
@@ -174,12 +158,7 @@ def _rationalized_snapshot(
             fx, fy = disp.get((v, k), (0.0, 0.0))
             dx = Fraction(int(fx * scale), scale)
             dy = Fraction(int(fy * scale), scale)
-            while dx * dx + dy * dy > da2:
-                dx *= Fraction(99, 100)
-                dy *= Fraction(99, 100)
-            d2 = dx * dx + dy * dy
-            if d2 > max_d2:
-                max_d2 = d2
+            max_d2 = max(max_d2, dx * dx + dy * dy)
             placement[f"{v}.{k}"] = (p[0] + dx, p[1] + dy)
     return placement, max_d2
 
@@ -253,55 +232,40 @@ def _prepare(
     )
 
 
-def _attempt(
-    prep: _Prepared, delta: Fraction, max_halvings: int = MAX_HALVINGS
-) -> PerturbationResult:
-    """Try delta, then up to max_halvings halvings of it, on a prepared input."""
+def _miss(witness: tuple) -> PerturbationError:
+    return PerturbationError("no admissible perturbation", witness)
+
+
+def _attempt(prep: _Prepared, delta: Fraction) -> PerturbationResult:
+    """Place the fragments once, at delta, and certify the placement exactly."""
     if not (0 < delta < prep.bound):
         raise PerturbationError(
             f"delta {delta} outside the admissible range (0, {prep.bound})"
         )
     linkage, configuration, extended = prep.linkage, prep.configuration, prep.extended
-    nedges = max(len(linkage.edges), 1)
-    offending: tuple | None = None
-    for attempt in range(max_halvings + 1):
-        da = delta / (2**attempt)
-        if da * nedges >= 1:
-            raise PerturbationError("delta too large for the layer offsets")
-        try:
-            disp = _float_displacements(linkage, configuration, prep.psi_map, float(da))
-        except _Miss as miss:
-            offending = miss.info
-            continue
-        snapshot, max_d2 = _rationalized_snapshot(linkage, configuration, disp, da)
-        eps = 2 * da
-        try:
-            cdelta = Configuration(extended, snapshot, eps)
-        except LinkageError:
-            offending = ("membership violated",)
-            continue
-        witness = touch_witness(extended, cdelta)
-        if witness is not None:
-            offending = witness
-            continue
-        sig = _sign_check(prep, cdelta, da)
-        if sig is not None:
-            offending = sig
-            continue
-        return PerturbationResult(
-            linkage=extended,
-            configuration=cdelta,
-            extension_map=prep.emap,
-            delta_requested=delta,
-            delta_used=da,
-            slack=eps,
-            psi={eid: h for eid, (h, _) in prep.psi_map.items()},
-            corridor_orders=prep.orders,
-            attempts=attempt + 1,
-            max_displacement_sq=max_d2,
-        )
-    raise PerturbationError(
-        "no admissible perturbation found after retries", offending
+    disp = _float_displacements(linkage, configuration, prep.psi_map, float(delta))
+    snapshot, max_d2 = _rationalized_snapshot(linkage, configuration, disp)
+    if max_d2 > delta * delta:
+        raise _miss(("fragment outside the disk",))
+    eps = 2 * delta
+    try:
+        cdelta = Configuration(extended, snapshot, eps)
+    except LinkageError:
+        raise _miss(("membership violated",)) from None
+    witness = touch_witness(extended, cdelta) or _sign_check(prep, cdelta, delta)
+    if witness is not None:
+        raise _miss(witness)
+    return PerturbationResult(
+        linkage=extended,
+        configuration=cdelta,
+        extension_map=prep.emap,
+        delta_requested=delta,
+        delta_used=delta,
+        slack=eps,
+        psi={eid: h for eid, (h, _) in prep.psi_map.items()},
+        corridor_orders=prep.orders,
+        attempts=1,
+        max_displacement_sq=max_d2,
     )
 
 
@@ -311,18 +275,20 @@ def perturb(
     annotation: AnnotationMatrix,
     delta,
     *,
-    max_halvings: int = MAX_HALVINGS,
+    max_halvings: int = 0,
 ) -> PerturbationResult:
     """Produce a verified nontouching configuration within distance delta.
 
     The input must pass validation and delta must lie strictly inside
     (0, delta_bound). The output extends the linkage by vertex
-    splitting, carries slack 2 * delta_used, and is checked exactly:
+    splitting, carries slack 2 * delta, and is checked exactly:
     fragment containment, membership, nontouching, and preserved
-    annotation signs on overlapping pairs.
+    annotation signs on overlapping pairs. The construction runs once,
+    at delta; a miss raises PerturbationError whose offending tuple is
+    the witness. max_halvings is unused: no smaller radius is tried.
     """
     prep = _prepare(linkage, configuration, annotation)
-    return _attempt(prep, Fraction(delta), max_halvings)
+    return _attempt(prep, Fraction(delta))
 
 
 @dataclass(frozen=True)

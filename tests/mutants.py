@@ -2,9 +2,9 @@
 
 Every entry names a file under ``src/linkfold``, an exact snippet that
 occurs there once, its replacement, and the tests (pytest node ids) that
-must fail once the replacement is made. ``tests/test_mutants.py`` checks
-that every snippet still occurs exactly once and every named test
-exists.
+must fail once the replacement is made; a parametrized test is named
+with its case id. ``tests/test_mutants.py`` checks that every snippet
+still occurs exactly once and every named test exists.
 
 Run the table with
 
@@ -40,6 +40,7 @@ class Mutant(NamedTuple):
 
 VALIDATOR = "tests/test_validator.py::"
 CORRIDORS = "tests/test_corridors.py::"
+PLANTED = "tests/test_perturb.py::test_planted_miss_raises_its_witness_after_one_construction"
 
 MUTANTS = (
     Mutant(
@@ -101,6 +102,33 @@ MUTANTS = (
         "if annotation.lines is index:",
         "if True:",
         (VALIDATOR + "test_well_annotated_foreign_defaults_check_every_pair",),
+    ),
+    Mutant(
+        "perturb disk check dropped",
+        "perturb.py",
+        "if max_d2 > delta * delta:",
+        "if False:",
+        (PLANTED + "[disk]",),
+    ),
+    Mutant(
+        "perturb touch check dropped",
+        "perturb.py",
+        "touch_witness(extended, cdelta) or ",
+        "",
+        (
+            PLANTED + "[touch]",
+            "tests/test_linkage.py::test_touch_witness_matches_reference_on_perturb_attempts",
+        ),
+    ),
+    Mutant(
+        "perturb sign check dropped",
+        "perturb.py",
+        " or _sign_check(prep, cdelta, delta)",
+        "",
+        (
+            PLANTED + "[sign]",
+            "tests/test_perturb.py::test_sign_check_matches_fraction_reference_on_perturb_attempts",
+        ),
     ),
     Mutant(
         "delta_bound renamed",

@@ -232,17 +232,26 @@ def test_corridors(capsys, tmp_path):
 
 def test_corridors_rejects_what_validate_rejects(capsys, tmp_path):
     # the reverse entry of an overlapping pair is read too: disagreeing
-    # or zero, corridors fails as validate does
+    # or zero, corridors fails as validate does; so does a consistent
+    # layering whose magnitudes are not the overlap length
     L, C, _ = doubled_chain()
+    above = SparseAnnotation("e1", "e2", layer=1)
+    five = SqrtRational(5)
     cases = {
-        "disagree": (SparseAnnotation("e2", "e1", layer=-1), "inconsistent layer order"),
+        "disagree": (
+            (above, SparseAnnotation("e2", "e1", layer=-1)),
+            "inconsistent layer order",
+        ),
         "zero": (
-            SparseAnnotation("e2", "e1", value=SqrtRational(0)),
+            (above, SparseAnnotation("e2", "e1", value=SqrtRational(0))),
             "zero annotation between overlapping bars e1 and e2",
         ),
+        "magnitude": (
+            (SparseAnnotation("e1", "e2", value=five), SparseAnnotation("e2", "e1", value=five)),
+            "well-annotated: entry magnitude differs from the overlap length, bars e1 and e2",
+        ),
     }
-    for name, (reverse, message) in cases.items():
-        entries = (SparseAnnotation("e1", "e2", layer=1), reverse)
+    for name, (entries, message) in cases.items():
         text = write_document(linkage=L, configuration=C, annotations=entries)
         doc = write(tmp_path / f"{name}.json", text)
         code, _, _ = run(capsys, "validate", doc)

@@ -473,7 +473,9 @@ def test_contact_kernel_huge_unrelated_denominators():
 
 
 def test_touch_witness_matches_reference_on_perturb_attempts(monkeypatch):
-    # every snapshot perturb certifies or rejects, hinged flats included
+    # every snapshot perturb certifies, hinged flats included, and one
+    # planted touching snapshot it rejects: the doubled chain with its
+    # far lifted fragment mirrored below e1
     calls = collections.Counter()
 
     def checked(L, C):
@@ -483,18 +485,30 @@ def test_touch_witness_matches_reference_on_perturb_attempts(monkeypatch):
         calls[witness is None] += 1
         return witness
 
-    monkeypatch.setattr(importlib.import_module("linkfold.perturb"), "touch_witness", checked)
+    module = importlib.import_module("linkfold.perturb")
+    monkeypatch.setattr(module, "touch_witness", checked)
     rng = random.Random(4200)
     hinged = 0
     for _ in range(40):
         L, C, heights = random_layered_flat(rng, rng.randint(2, 9))
         hinged += any(e.rest_length == 0 for e in L.edges)
         A = annotation_from_layers(L, C, heights)
-        try:
-            perturb(L, C, A, F(1, 4 * len(L.edges)))
-        except PerturbationError:
-            pass
-    assert hinged >= 8 and min(calls.values()) >= 20, (hinged, calls)
+        perturb(L, C, A, F(1, 4 * len(L.edges)))
+    assert hinged >= 8 and calls == collections.Counter({True: 40}), (hinged, calls)
+
+    place = module._float_displacements
+
+    def mirrored(*args):
+        disp = place(*args)
+        x, y = disp["v2", 0]
+        disp["v2", 0] = (x, -y)
+        return disp
+
+    monkeypatch.setattr(module, "_float_displacements", mirrored)
+    with pytest.raises(PerturbationError) as caught:
+        perturb(*doubled_chain(), F(1, 10))
+    assert caught.value.offending == ("bars cross", "e1", "e2")
+    assert calls == collections.Counter({True: 40, False: 1})
 
 
 def test_touch_witness_first_vertex_inside_bar():

@@ -16,6 +16,13 @@ def test_mutant_snippets_occur_once_and_tests_exist():
         assert m.tests, m.name
         for node_id in m.tests:
             path, name = node_id.split("::")
+            name, case, _ = name.partition("[")
             tree = ast.parse((REPO / path).read_text(encoding="utf-8"))
-            defined = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+            defined = {
+                n.name: any("parametrize" in ast.unparse(d) for d in n.decorator_list)
+                for n in tree.body
+                if isinstance(n, ast.FunctionDef)
+            }
             assert name in defined, (m.name, node_id)
+            # the runner reads pass lines by node id, which carry the case
+            assert defined[name] == bool(case), (m.name, node_id)

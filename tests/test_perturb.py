@@ -67,7 +67,7 @@ def test_perturb_corpus_soundness():
             d = clamp(delta, bound)
             res = perturb(L, C, A, d)
             assert res.delta_requested == d, name
-            assert res.delta_used == d / 2 ** (res.attempts - 1), name
+            assert res.attempts == 1 and res.delta_used == d, name
             du = res.delta_used
             # exact nontouching certificate on the rationalized snapshot
             assert is_nontouching(res.linkage, res.configuration), name
@@ -203,6 +203,41 @@ def test_sign_check_matches_fraction_reference_on_perturb_attempts(monkeypatch):
             pass
     assert hinged >= 8, hinged
     assert outcomes[None, False] >= 20 and outcomes.total() >= 30, outcomes
+
+
+PLANTED = {
+    "disk": ("fragment outside the disk",),
+    "touch": ("bars cross", "e1", "e2"),
+    "sign": ("sign flipped", "e1", "e2"),
+}
+
+
+@pytest.mark.parametrize("miss", list(PLANTED))
+def test_planted_miss_raises_its_witness_after_one_construction(monkeypatch, miss):
+    # on the doubled chain at delta = 1/10, a placement planted to miss one
+    # exact check (v0.0 at 1.5 delta; v2.0, or both lifted fragments,
+    # mirrored below e1) is not shrunk or retried at a smaller radius: the
+    # one construction's witness is the error's
+    module = importlib.import_module("linkfold.perturb")
+    place = module._float_displacements
+    radii = []
+
+    def planted(linkage, configuration, psi_map, da):
+        radii.append(da)
+        disp = place(linkage, configuration, psi_map, da)
+        if miss == "disk":
+            disp["v0", 0] = (1.5 * da, 0.0)
+        for key in {"touch": [("v2", 0)], "sign": [("v1", 1), ("v2", 0)]}.get(miss, []):
+            x, y = disp[key]
+            disp[key] = (x, -y)
+        return disp
+
+    monkeypatch.setattr(module, "_float_displacements", planted)
+    L, C, A = doubled_chain()
+    with pytest.raises(PerturbationError, match="^no admissible perturbation") as caught:
+        perturb(L, C, A, F(1, 10))
+    assert caught.value.offending == PLANTED[miss]
+    assert radii == [0.1]
 
 
 def test_perturb_offsets_bounded():
