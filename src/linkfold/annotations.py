@@ -9,6 +9,7 @@ length, carried as SqrtRational.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from fractions import Fraction
@@ -21,6 +22,7 @@ from .geometry import (
     cross,
     dot,
     properly_cross,
+    sign,
     sqnorm,
     vsub,
 )
@@ -31,24 +33,34 @@ Segment = tuple[Point, Point]
 Line = tuple[int, int, int]  # canonical a x + b y = c
 
 
-def _clipped_span(xa, ya, xb, yb, scale, side: int):
-    """Stretch of e1's span covered by e2 clipped to one closed half-plane.
+def _ord_parts(e1: Segment, e2: Segment):
+    """ord_value(e1, e2) as (n, den, scale): the value is n/den * sqrt(scale).
 
-    Coordinates are in the frame scaled by |e1|: x runs over [0, scale]
-    along e1, y is the (scaled) signed offset. side selects y >= 0 or
-    y <= 0. The stretch is measured in the same scaled units, so integer
-    inputs need no division until the caller's.
+    n/den is r+ - r-, with den > 0. Spans are measured in the frame scaled by
+    |e1|: x runs over [0, scale] along e1, y is the (scaled) signed
+    offset. When e2 crosses e1's line strictly, the crossing x is
+    (ya*xb - yb*xa) / (ya - yb), so x is scaled once more by m = |ya - yb|
+    and integer points give integers throughout.
     """
-    sa, sb = side * ya, side * yb
-    if sa < 0 and sb < 0:
-        return 0
-    if sa >= 0 and sb >= 0:
-        x1, x2 = xa, xb
-    else:
-        # where the segment crosses the y = 0 line
-        xc = Fraction(sa * xb - sb * xa, sa - sb)
-        x1, x2 = (xc, xb) if sa < 0 else (xa, xc)
-    return abs(min(max(x2, 0), scale) - min(max(x1, 0), scale))
+    t1, h1 = e1
+    d = vsub(h1, t1)
+    scale = sqnorm(d)
+    if scale == 0:
+        return 0, 1, 0
+    qa = vsub(e2[0], t1)
+    qb = vsub(e2[1], t1)
+    xa, ya = dot(qa, d), cross(d, qa)
+    xb, yb = dot(qb, d), cross(d, qb)
+    if ya * yb >= 0:
+        # one closed side holds all of e2, and the other only a point of it
+        span = abs(min(max(xb, 0), scale) - min(max(xa, 0), scale))
+        return (sign(ya) or sign(yb)) * span, scale, scale
+    m = abs(ya - yb)
+    xc = (ya * xb - yb * xa) * sign(ya - yb)
+    top = scale * m
+    xa, xb, xc = (min(max(x, 0), top) for x in (xa * m, xb * m, xc))
+    left, right = abs(xc - xa), abs(xb - xc)
+    return (left - right if ya > 0 else right - left), top, scale
 
 
 def ord_value(e1: Segment, e2: Segment) -> SqrtRational:
@@ -57,20 +69,15 @@ def ord_value(e1: Segment, e2: Segment) -> SqrtRational:
     Degenerate e1 gives 0. The result is (r+ - r-) * |e1| with rational
     r terms, hence exactly representable. The r terms do not change when
     every point is scaled by D > 0, so neither does the sign, and integer
-    lattice images give it with integer arithmetic.
+    lattice images give it with integer arithmetic (ord_sign).
     """
-    t1, h1 = e1
-    d = vsub(h1, t1)
-    scale = sqnorm(d)
-    if scale == 0:
-        return SqrtRational(0)
-    qa = vsub(e2[0], t1)
-    qb = vsub(e2[1], t1)
-    xa, ya = dot(qa, d), cross(d, qa)
-    xb, yb = dot(qb, d), cross(d, qb)
-    r_plus = _clipped_span(xa, ya, xb, yb, scale, +1)
-    r_minus = _clipped_span(xa, ya, xb, yb, scale, -1)
-    return SqrtRational(Fraction(r_plus - r_minus, scale), scale)
+    n, den, scale = _ord_parts(e1, e2)
+    return SqrtRational(Fraction(n, den), scale)
+
+
+def ord_sign(e1: Segment, e2: Segment) -> int:
+    """Sign of ord_value(e1, e2); integer points need no Fraction."""
+    return sign(_ord_parts(e1, e2)[0])
 
 
 def overlap_length(e1: Segment, e2: Segment) -> SqrtRational:
@@ -104,16 +111,20 @@ def strict_crossing(e1: Segment, e2: Segment) -> bool:
 class LineIndex:
     """Line facts of one configuration's bars, on its integer lattice.
 
-    ``Configuration.lines()`` builds it once. ``segments`` holds each
-    edge's lattice images (D*tail, D*head) and ``line_of`` its canonical
-    line there, None for a point bar, and ``orient`` its orientation
-    along that line's canonical direction (+1 or -1; 0 for a point bar).
-    Per line, ``bars`` lists the bars as (lo, hi, edge index), their
-    parameter intervals along the line's canonical direction sorted by
-    start, ``pairs`` its overlapping unordered pairs (i < j) in ascending
-    order, and ``stations`` the sorted parameters and images of the
-    locations on it. ``overlaps`` holds the positive overlap_length of
-    every overlapping ordered pair in the input's units, row-major.
+    ``Configuration.lines()`` builds it once. ``D`` is the lattice's
+    denominator, ``segments`` holds each edge's lattice images
+    (D*tail, D*head) and ``line_of`` its canonical line there, None for a
+    point bar, and ``orient`` its orientation along that line's canonical
+    direction u (+1 or -1; 0 for a point bar). Per line, ``unit_sq`` is
+    |u|^2, ``bars`` lists the bars as (lo, hi, edge index), their
+    parameter intervals along u sorted by start, ``pairs`` its
+    overlapping unordered pairs (i < j) in ascending order, and
+    ``stations`` the sorted parameters and images of the locations on it.
+
+    Lattice points of a line differ by whole multiples of u, so every
+    overlap there is a whole number t of steps |u| on the lattice, |u|/D
+    in the input. ``steps`` maps every overlapping ordered pair to its
+    t, row-major; ``overlaps`` gives the same overlaps as SqrtRational.
     """
 
     def __init__(self, linkage: Linkage, images: dict, D: int) -> None:
@@ -121,6 +132,7 @@ class LineIndex:
         self.segments = segs = [(images[e.tail], images[e.head]) for e in linkage.edges]
         self.line_of = [canonical_line(a, b) if a != b else None for a, b in segs]
         self.orient = [0] * len(segs)
+        self.unit_sq: dict[Line, int] = {}
         self.bars: dict[Line, list[tuple[int, int, int]]] = {}
         for i, line in enumerate(self.line_of):
             if line is not None:
@@ -128,6 +140,7 @@ class LineIndex:
                 dx, dy = canonical_line_direction(line)
                 sa, sb = ax * dx + ay * dy, bx * dx + by * dy
                 self.orient[i] = 1 if sb > sa else -1
+                self.unit_sq[line] = dx * dx + dy * dy
                 self.bars.setdefault(line, []).append((min(sa, sb), max(sa, sb), i))
         # parallel lines share one pass over the locations
         on_line: dict[Line, list[tuple[int, tuple]]] = {line: [] for line in self.bars}
@@ -143,45 +156,51 @@ class LineIndex:
             group.sort()
             stations = sorted(on_line[line])
             self.stations[line] = ([s for s, _ in stations], [p for _, p in stations])
-        # each line's bars are swept by start, so overlap_length runs once
-        # per unordered overlapping pair
-        overlaps = {}
+        # each line's bars are swept by start; an overlap runs from the later
+        # start to the earlier end, and parameters step by |u|^2 per step |u|
+        steps = {}
         self.pairs: dict[Line, list[tuple[int, int]]] = {}
         for line, group in self.bars.items():
             pairs = self.pairs[line] = []
+            unit_sq = self.unit_sq[line]
             active: list[tuple[int, int]] = []
             for lo, hi, j in group:
                 active = [(h, i) for h, i in active if h > lo]
-                for _, i in active:
+                for h, i in active:
                     pairs.append((min(i, j), max(i, j)))
-                    v = overlap_length(segs[i], segs[j])
-                    overlaps[i, j] = self.unscale(v)
-                    if v.radicand != 1:
-                        # a bar is g times the line's primitive direction u,
-                        # and an overlap k|u| reads k/g*sqrt(g^2|u|^2) from it
-                        gi, gj = math.gcd(*vsub(*segs[i])), math.gcd(*vsub(*segs[j]))
-                        v = SqrtRational._normal(v.coeff * gi / gj, v.radicand * gj**2 / gi**2)
-                    overlaps[j, i] = self.unscale(v)
+                    steps[i, j] = steps[j, i] = (min(h, hi) - lo) // unit_sq
                 active.append((hi, j))
             pairs.sort()
-        self.overlaps = dict(sorted(overlaps.items()))
+        self.steps = dict(sorted(steps.items()))
 
-    def unscale(self, v: SqrtRational) -> SqrtRational:
-        """A value measured on the lattice, in the input's units.
+    def length(self, i: int, k: int) -> SqrtRational:
+        """k steps along bar i's line in the input's units, with the fields
+        overlap_length gives on the input's Fractions: bar i is g times u,
+        so k/g*sqrt(g^2|u|^2/D^2), which folds to k|u|/D for a square |u|^2."""
+        g = math.gcd(*vsub(*self.segments[i]))
+        unit_sq = self.unit_sq[self.line_of[i]]
+        return SqrtRational(Fraction(k, g), Fraction(g * g * unit_sq, self.D**2))
 
-        c*sqrt(r) on the lattice is c*sqrt(r / D^2) in the input; a square
-        radicand is 1 on both sides and any other stays no square.
-        """
-        D = self.D
-        if D == 1:
-            return v
-        if v.radicand == 1:
-            return SqrtRational._normal(v.coeff / D, v.radicand)
-        return SqrtRational._normal(v.coeff, Fraction(v.radicand.numerator, D * D))
+    def in_steps(self, i: int, j: int, v: SqrtRational) -> int | None:
+        """+-t when |v| is the overlap of t steps of pair (i, j), else None."""
+        t = self.steps[i, j]
+        a, b = v.coeff.numerator, v.coeff.denominator
+        r, s = v.radicand.numerator, v.radicand.denominator
+        unit_sq = self.unit_sq[self.line_of[i]]
+        if a * a * r * self.D**2 != t * t * unit_sq * b * b * s:
+            return None
+        return t if a > 0 else -t
+
+    @functools.cached_property
+    def overlaps(self) -> dict[tuple[int, int], SqrtRational]:
+        """The positive overlap_length of every overlapping ordered pair, in
+        the input's units and row-major, built the first time it is read."""
+        return {(i, j): self.length(i, t) for (i, j), t in self.steps.items()}
 
     def signed_overlap(self, i: int, j: int) -> SqrtRational:
         """ord_value of bar j over bar i, in the input's units."""
-        return self.unscale(ord_value(self.segments[i], self.segments[j]))
+        n, den, scale = _ord_parts(self.segments[i], self.segments[j])
+        return SqrtRational(Fraction(n, den), Fraction(scale, self.D**2))
 
 
 class AnnotationMatrix:
@@ -191,8 +210,11 @@ class AnnotationMatrix:
     that is not overridden is the signed overlap on the line index
     ``lines`` the matrix was built from, computed the first time it is
     read and then cached. A matrix built from rows has no index and
-    overrides every entry. ``entries`` builds the full grid, and
-    matrices compare equal by entries.
+    overrides every entry. On an index, an override of an overlapping
+    pair is kept as a signed int count of its steps when it is one (every
+    layer entry; a value entry of the right magnitude, which ``value``
+    gives back as given), else as its SqrtRational; ``sign`` reads either
+    form. ``entries`` builds the full grid; matrices compare equal by it.
     """
 
     def __init__(self, entries) -> None:
@@ -206,20 +228,27 @@ class AnnotationMatrix:
         self.n = n
         self.lines: LineIndex | None = None  # defaults come from it
         self.overrides = {(i, j): v for i, r in enumerate(rows) for j, v in enumerate(r)}
-        self._defaults: dict[tuple[int, int], SqrtRational] = {}
+        self._values: dict[tuple[int, int], SqrtRational] = {}
 
     @classmethod
     def from_configuration(
         cls, configuration: Configuration, overrides=None
     ) -> "AnnotationMatrix":
-        """Geometry defaults on the configuration's bars, with off-diagonal overrides."""
+        """Geometry defaults on the configuration's bars, with off-diagonal
+        overrides (SqrtRationals, or ints counting an overlapping pair's steps)."""
         matrix = cls(())
-        matrix.lines = configuration.lines()
-        matrix.n = len(matrix.lines.segments)
-        matrix.overrides = dict(overrides or {})
-        for (i, j), v in matrix.overrides.items():
-            if i == j and not v.is_zero:
+        lines = matrix.lines = configuration.lines()
+        matrix.n = len(lines.segments)
+        for (i, j), v in (overrides or {}).items():
+            if i == j and v != 0:
                 raise AnnotationError(f"nonzero diagonal entry at {i}")
+            if (i, j) not in lines.steps:
+                if not isinstance(v, SqrtRational):
+                    raise AnnotationError(f"step count on non-overlapping pair {i}, {j}")
+            elif isinstance(v, SqrtRational) and (k := lines.in_steps(i, j, v)) is not None:
+                matrix._values[i, j] = v
+                v = k
+            matrix.overrides[i, j] = v
         return matrix
 
     @classmethod
@@ -231,13 +260,25 @@ class AnnotationMatrix:
         return cls(conv)
 
     def value(self, i: int, j: int) -> SqrtRational:
+        v = self._values.get((i, j))
+        if v is None:
+            k = self.overrides.get((i, j))
+            if isinstance(k, SqrtRational):
+                return k
+            if k is not None:
+                v = self.lines.length(i, k)
+            else:
+                v = SqrtRational(0) if i == j else self.lines.signed_overlap(i, j)
+            self._values[i, j] = v
+        return v
+
+    def sign(self, i: int, j: int) -> int:
+        """The sign of entry (i, j), read without building a SqrtRational."""
         v = self.overrides.get((i, j))
         if v is None:
-            v = self._defaults.get((i, j))
-            if v is None:
-                v = SqrtRational(0) if i == j else self.lines.signed_overlap(i, j)
-                self._defaults[(i, j)] = v
-        return v
+            segs = self.lines.segments
+            return 0 if i == j else ord_sign(segs[i], segs[j])
+        return sign(v) if type(v) is int else v.sign()
 
     @property
     def entries(self) -> tuple[tuple[SqrtRational, ...], ...]:
@@ -266,7 +307,7 @@ def line_layering(index: LineIndex, annotation: AnnotationMatrix, line: Line):
     above: dict[int, list[int]] = {i: [] for _, _, i in index.bars[line]}
     indeg = dict.fromkeys(above, 0)
     for i, j in index.pairs[line]:
-        s, t = annotation.value(i, j).sign(), annotation.value(j, i).sign()
+        s, t = annotation.sign(i, j), annotation.sign(j, i)
         if s == 0 or t == 0:
             return None, ("zero annotation between overlapping bars", i, j)
         if orient[i] * s != -orient[j] * t:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .adornments import Adornment
 from .annotations import AnnotationMatrix
 from .errors import DocumentError, LinkageError
-from .geometry import Point, dot, sign, vsub
+from .geometry import Point
 from .linkage import Configuration, Edge, ExtensionMap, Linkage, require_conf0
 from .rationals import SqrtRational, format_rational, parse_rational
 
@@ -295,14 +295,13 @@ def resolve_annotations(
     Layer entries scale the overlap length by the given sign and, when
     the reverse pair is not itself listed, fill it in so the pair
     describes one coherent local ordering. The returned matrix stores
-    only these overrides on the configuration's line index.
+    only these overrides on the configuration's line index, each layer
+    entry as a signed count of its pair's steps along the line.
     """
     require_conf0(configuration)
-    matrix = AnnotationMatrix.from_configuration(configuration)
-    index = matrix.lines
-    values = matrix.overrides  # filled in place below
-    explicit: set[tuple[int, int]] = set()
-    fills: list[tuple[int, int, SqrtRational]] = []
+    index = configuration.lines()
+    values: dict[tuple[int, int], SqrtRational | int] = {}
+    fills: list[tuple[int, int, int]] = []
     for k, entry in enumerate(sparse):
         path = f"$.annotations[{k}]"
         try:
@@ -313,25 +312,25 @@ def resolve_annotations(
             ) from None
         if i == j:
             raise DocumentError("annotation on the diagonal", path)
-        explicit.add((i, j))
         if entry.value is not None:
-            values[(i, j)] = entry.value
+            values[i, j] = entry.value
             continue
-        if (i, j) not in index.overlaps:
+        t = index.steps.get((i, j))
+        if t is None:
             raise DocumentError(
                 f"layer annotation on non-overlapping pair "
                 f"{entry.first!r}/{entry.second!r}",
                 path,
             )
-        values[(i, j)] = index.overlaps[(i, j)].scale(entry.layer)
-        # the reverse pair's flip is a sign, read on the integer lattice
-        (ai, bi), (aj, bj) = index.segments[i], index.segments[j]
-        flip = -sign(dot(vsub(bi, ai), vsub(bj, aj)))
-        fills.append((j, i, index.overlaps[(j, i)].scale(flip * entry.layer)))
-    for j, i, val in fills:
+        values[i, j] = entry.layer * t
+        # seen from bar j the same layering flips sign iff the bars point
+        # the same way along their line
+        fills.append((j, i, -index.orient[i] * index.orient[j] * entry.layer * t))
+    explicit = set(values)
+    for j, i, v in fills:
         if (j, i) not in explicit:
-            values[(j, i)] = val
-    return matrix
+            values[j, i] = v
+    return AnnotationMatrix.from_configuration(configuration, values)
 
 
 def _point_json(p: Point) -> list[str]:

@@ -89,10 +89,11 @@ def lattice(points) -> tuple[int, list[tuple[int, ...]]]:
 def box_pairs(segments) -> list[tuple[int, int]]:
     """Index pairs (i, j), i < j, of segments whose closed boxes overlap.
 
-    Pairs come in ascending order. The bounding boxes are swept by
-    x-min with an active list pruned by x-max, and each survivor is
-    tested for y-overlap, after Shamos and Hoey (1976). Boxes that only
-    touch count as overlapping, and a point is the segment (p, p).
+    Pairs come in ascending order. A sort-and-sweep broad phase: the
+    bounding boxes are swept by x-min with an active list pruned by
+    x-max, and each survivor is tested for y-overlap, so every pair of
+    overlapping boxes is listed. Boxes that only touch count as
+    overlapping, and a point is the segment (p, p).
     """
     boxes = [
         (min(a[0], b[0]), min(a[1], b[1]), max(a[0], b[0]), max(a[1], b[1]))

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .annotations import AnnotationMatrix, ord_value
+from .annotations import AnnotationMatrix, ord_sign, ord_value
 from .corridors import CorridorOrder, corridor_order, corridors, delta_bound
 from .errors import LinkageError, PerturbationError, ValidationFailure
 from .geometry import Point
@@ -31,7 +31,6 @@ from .linkage import (
     merged_vertex_partition,
     touch_witness,
 )
-from .rationals import SqrtRational
 from .validator import validate
 
 GOLDEN_ANGLE = 2.399963229728653
@@ -169,21 +168,25 @@ def _sign_check(
     """Annotation signs must survive on pairs with robust overlaps.
 
     ord_value keeps its sign when every point is scaled by D > 0, so the
-    signs are read on the snapshot's integer lattice.
+    signs are read on the snapshot's integer lattice. An overlap of t
+    steps is t|u|/D long, so it is below 4*da = 4p/q iff
+    t^2 |u|^2 q^2 < 16 p^2 D^2.
     """
-    linkage = prep.linkage
+    linkage, index = prep.linkage, prep.configuration.lines()
     images = cdelta.lattice()
     new_segs = [
         (images[e.tail], images[e.head])
         for e in prep.extended.edges[: len(linkage.edges)]
     ]
-    for (i, j), ov in prep.overlaps.items():
-        want = prep.annotation.value(i, j).sign()
-        got = ord_value(new_segs[i], new_segs[j]).sign()
+    p, q, D = da.numerator, da.denominator, index.D
+    bound = 16 * p * p * D * D
+    for (i, j), t in index.steps.items():
+        want = prep.annotation.sign(i, j)
+        got = ord_sign(new_segs[i], new_segs[j])
         if got == want:
             continue
         # an overlap thinner than the drift budget may close up entirely
-        if got == 0 and ov < 4 * da:
+        if got == 0 and t * t * q * q * index.unit_sq[index.line_of[i]] < bound:
             continue
         return ("sign flipped", linkage.edges[i].id, linkage.edges[j].id)
     return None
@@ -201,7 +204,6 @@ class _Prepared:
     psi_map: dict[str, tuple[int, tuple[float, float]]]  # edge id -> (layer, normal)
     extended: Linkage
     emap: ExtensionMap
-    overlaps: dict[tuple[int, int], SqrtRational]
 
 
 def _prepare(
@@ -227,8 +229,7 @@ def _prepare(
 
     extended, _, emap = extend_split(linkage, configuration)
     return _Prepared(
-        linkage, configuration, annotation, bound, orders, psi_map, extended, emap,
-        configuration.lines().overlaps,
+        linkage, configuration, annotation, bound, orders, psi_map, extended, emap
     )
 
 
@@ -328,7 +329,7 @@ def convergence_probe(
         snap = res.configuration.placement
         pair_values: dict[tuple[str, str], object] = {}
         max_dev = 0.0
-        for (i, j), ov in prep.overlaps.items():
+        for (i, j), ov in configuration.lines().overlaps.items():
             ei, ej = res.linkage.edges[i], res.linkage.edges[j]
             val = ord_value(
                 (snap[ei.tail], snap[ei.head]), (snap[ej.tail], snap[ej.head])

@@ -9,6 +9,7 @@ direct-connection classes in any of those orders.
 
 from __future__ import annotations
 
+import heapq
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations
@@ -22,6 +23,7 @@ from .linkage import (
     merged_vertex_partition,
     require_conf0,
 )
+from .rationals import SqrtRational
 
 IntVec = tuple[int, int]
 
@@ -166,27 +168,33 @@ def check_well_annotated(
 
     Defaults from this configuration's own line index are wrong only on
     overlapping pairs, so then just the overrides and the overlapping
-    pairs are checked; any other matrix is checked on every pair.
+    pairs are checked; any other matrix is checked on every pair. An
+    entry on an overlapping pair has the right magnitude iff it is
+    +-t steps of its line, tested on integers.
     """
     index = configuration.lines()
-    overlaps = index.overlaps
+    steps = index.steps
     n = len(linkage.edges)
-    if annotation.lines is index:
-        pairs = sorted(overlaps.keys() | annotation.overrides.keys())
+    own = annotation.lines is index
+    if own:
+        # steps run row-major, and the overrides off them are few
+        pairs = heapq.merge(steps, sorted(annotation.overrides.keys() - steps.keys()))
     else:
         pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     for i, j in pairs:
-        a = annotation.value(i, j)
-        ov = overlaps.get((i, j))
-        if ov is not None:
-            if a != ov and a != -ov:
+        t = steps.get((i, j))
+        if t is not None:
+            a = annotation.overrides.get((i, j)) if own else annotation.value(i, j)
+            if isinstance(a, SqrtRational):
+                a = index.in_steps(i, j, a)
+            if a != t and a != -t:
                 return CheckReport(
                     "well-annotated",
                     "fail",
                     (linkage.edges[i].id, linkage.edges[j].id),
                     "entry magnitude differs from the overlap length",
                 )
-        elif a != index.signed_overlap(i, j):
+        elif annotation.value(i, j) != index.signed_overlap(i, j):
             return CheckReport(
                 "well-annotated",
                 "fail",
@@ -203,7 +211,7 @@ class WellOrderResult:
 
 
 def _beats(annotation: AnnotationMatrix, ia: Inbound, ib: Inbound) -> bool:
-    return annotation.value(ia.edge_index, ib.edge_index).sign() * ia.dir_flag > 0
+    return annotation.sign(ia.edge_index, ib.edge_index) * ia.dir_flag > 0
 
 
 def check_well_ordered(
@@ -250,11 +258,11 @@ def _first_fault(views, annotation, index: LineIndex, faulty: set) -> CheckRepor
                 continue
             for a, b in combinations(idxs, 2):
                 ia, ib = view.inbounds[a], view.inbounds[b]
-                va = annotation.value(ia.edge_index, ib.edge_index)
-                vb = annotation.value(ib.edge_index, ia.edge_index)
-                if va.is_zero or vb.is_zero:
+                sa = annotation.sign(ia.edge_index, ib.edge_index)
+                sb = annotation.sign(ib.edge_index, ia.edge_index)
+                if sa == 0 or sb == 0:
                     detail = "zero annotation between germs at one entrance"
-                elif ia.dir_flag * va.sign() != -ib.dir_flag * vb.sign():
+                elif ia.dir_flag * sa != -ib.dir_flag * sb:
                     detail = "annotation pair disagrees about the local order"
                 else:
                     continue
@@ -293,24 +301,30 @@ def _find_cycle(
 
 
 def _find_interleave(seq: list[int]) -> tuple[int, int, int, int] | None:
-    """First a b a b pattern over class labels, as four positions."""
+    """First a b a b pattern over class labels, as four positions.
+
+    Each label sits on the stack at most once, so a label -> depth map
+    finds it in constant time and the scan is linear.
+    """
     remaining: dict[int, int] = {}
     for c in seq:
         remaining[c] = remaining.get(c, 0) + 1
     stack: list[tuple[int, int]] = []  # (label, push position)
+    depth: dict[int, int] = {}  # label -> its index in stack
     for p, c in enumerate(seq):
         remaining[c] -= 1
         if stack and stack[-1][0] == c:
             if remaining[c] == 0:
                 stack.pop()
+                del depth[c]
             continue
-        depth = next((d for d in range(len(stack)) if stack[d][0] == c), None)
-        if depth is not None:
+        if c in depth:
             # c resurfaces while d sits above it: guaranteed d later on
             d_label, d_pos = stack[-1]
-            q = next(i for i in range(p + 1, len(seq)) if seq[i] == d_label)
-            return (stack[depth][1], d_pos, p, q)
+            q = seq.index(d_label, p + 1)
+            return (stack[depth[c]][1], d_pos, p, q)
         if remaining[c] > 0:
+            depth[c] = len(stack)
             stack.append((c, p))
     return None
 

@@ -9,6 +9,7 @@ geometric order value.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 import sys
 from fractions import Fraction
@@ -42,7 +43,7 @@ from linkfold.geometry import (
 )
 from linkfold.document import SparseAnnotation, parse_linkage_file, resolve_annotations
 from linkfold.chains import ChainShape
-from linkfold.errors import ChainError, CorridorError, LinkageError
+from linkfold.errors import ChainError, CorridorError, DocumentError, LinkageError
 from linkfold.linkage import (
     Configuration,
     DisjointSets,
@@ -830,7 +831,7 @@ def reference_sign_check(prep, snapshot, da):
         (snapshot[e.tail], snapshot[e.head])
         for e in prep.extended.edges[: len(linkage.edges)]
     ]
-    for (i, j), ov in prep.overlaps.items():
+    for (i, j), ov in prep.configuration.lines().overlaps.items():
         want = prep.annotation.value(i, j).sign()
         got = reference_ord_value(new_segs[i], new_segs[j]).sign()
         if got == want:
@@ -1288,6 +1289,113 @@ def overlapping_pairs(segs):
                 r = Fraction(v.radicand.numerator, D * D)
                 out[key] = SqrtRational._normal(v.coeff, r)
     return out
+
+
+def reference_line_overlaps(segs, D):
+    """Overlap values of lattice segments in the input's units, row-major.
+
+    overlap_length runs once per overlapping unordered pair of each
+    line's sweep, the reverse pair's (coeff, radicand) follow from the
+    two bars' gcd lengths along the line, and a lattice value c*sqrt(r)
+    reads c/D (r = 1) or c*sqrt(r / D^2) in the input. The sweep
+    LineIndex ran before it counted steps, kept as an oracle.
+    """
+
+    def unscale(v):
+        if D == 1:
+            return v
+        if v.radicand == 1:
+            return SqrtRational._normal(v.coeff / D, v.radicand)
+        return SqrtRational._normal(v.coeff, Fraction(v.radicand.numerator, D * D))
+
+    overlaps = {}
+    for group in bars_by_line(segs).values():
+        active = []
+        for lo, hi, j in group:
+            active = [(h, i) for h, i in active if h > lo]
+            for _, i in active:
+                v = overlap_length(segs[i], segs[j])
+                overlaps[i, j] = unscale(v)
+                if v.radicand != 1:
+                    gi, gj = math.gcd(*vsub(*segs[i])), math.gcd(*vsub(*segs[j]))
+                    v = SqrtRational._normal(v.coeff * gi / gj, v.radicand * gj**2 / gi**2)
+                overlaps[j, i] = unscale(v)
+            active.append((hi, j))
+    return dict(sorted(overlaps.items()))
+
+
+def reference_resolve_annotations(linkage, configuration, sparse):
+    """resolve_annotations with SqrtRational overrides, as a dense matrix.
+
+    Layer entries scale the oracle's overlap values; the reverse pair's
+    flip is read from the bars' directions; entries nobody set are
+    reference_ord_value on the input's Fractions. The body
+    resolve_annotations had before it counted steps, kept as an oracle.
+    """
+    require_conf0(configuration)
+    D, images = lattice(configuration.placement.values())
+    image = dict(zip(configuration.placement, images))
+    isegs = [(image[e.tail], image[e.head]) for e in linkage.edges]
+    overlaps = reference_line_overlaps(isegs, D)
+    values, explicit, fills = {}, set(), []
+    for k, entry in enumerate(sparse):
+        path = f"$.annotations[{k}]"
+        try:
+            i, j = linkage.edge_index(entry.first), linkage.edge_index(entry.second)
+        except LinkageError:
+            raise DocumentError(
+                f"annotation names unknown edge {entry.first!r}/{entry.second!r}", path
+            ) from None
+        if i == j:
+            raise DocumentError("annotation on the diagonal", path)
+        explicit.add((i, j))
+        if entry.value is not None:
+            values[(i, j)] = entry.value
+            continue
+        if (i, j) not in overlaps:
+            raise DocumentError(
+                f"layer annotation on non-overlapping pair "
+                f"{entry.first!r}/{entry.second!r}",
+                path,
+            )
+        values[(i, j)] = overlaps[(i, j)].scale(entry.layer)
+        (ai, bi), (aj, bj) = isegs[i], isegs[j]
+        flip = -sign(dot(vsub(bi, ai), vsub(bj, aj)))
+        fills.append((j, i, overlaps[(j, i)].scale(flip * entry.layer)))
+    for j, i, val in fills:
+        if (j, i) not in explicit:
+            values[(j, i)] = val
+    segs = [configuration.segment(e) for e in linkage.edges]
+    n = range(len(segs))
+    rows = [
+        [SqrtRational(0) if i == j else reference_ord_value(segs[i], segs[j]) for j in n]
+        for i in n
+    ]
+    for (i, j), v in values.items():
+        rows[i][j] = v
+    return AnnotationMatrix(rows)
+
+
+def reference_find_interleave(seq):
+    """_find_interleave scanning its stack for each label, as an oracle."""
+    remaining = {}
+    for c in seq:
+        remaining[c] = remaining.get(c, 0) + 1
+    stack = []  # (label, push position)
+    for p, c in enumerate(seq):
+        remaining[c] -= 1
+        if stack and stack[-1][0] == c:
+            if remaining[c] == 0:
+                stack.pop()
+            continue
+        depth = next((d for d in range(len(stack)) if stack[d][0] == c), None)
+        if depth is not None:
+            d_label, d_pos = stack[-1]
+            q = next(i for i in range(p + 1, len(seq)) if seq[i] == d_label)
+            return (stack[depth][1], d_pos, p, q)
+        if remaining[c] > 0:
+            stack.append((c, p))
+    return None
 
 
 def reference_check_well_annotated(linkage, configuration, annotation):

@@ -85,23 +85,61 @@ MUTANTS = (
     Mutant(
         "reverse overlap keeps the forward fields",
         "annotations.py",
-        "if v.radicand != 1:",
-        "if False:",
+        "self.length(i, t) for (i, j), t in self.steps.items()",
+        "self.length(j, t) for (i, j), t in self.steps.items()",
         ("tests/test_annotations.py::test_line_index_matches_oracles",),
     ),
     Mutant(
         "matrix defaults not unscaled",
         "annotations.py",
-        "return self.unscale(ord_value(self.segments[i], self.segments[j]))",
-        "return ord_value(self.segments[i], self.segments[j])",
+        "Fraction(scale, self.D**2)",
+        "scale",
         ("tests/test_annotations.py::test_line_index_matches_oracles",),
+    ),
+    Mutant(
+        "overlap steps run to the later end",
+        "annotations.py",
+        "(min(h, hi) - lo) // unit_sq",
+        "(max(h, hi) - lo) // unit_sq",
+        (
+            "tests/test_annotations.py::test_line_index_matches_oracles",
+            "tests/test_annotations.py::test_resolve_annotations_matches_oracle",
+        ),
+    ),
+    Mutant(
+        "magnitude test without the line's unit",
+        "annotations.py",
+        "if a * a * r * self.D**2 != t * t * unit_sq * b * b * s:",
+        "if a * a * r * self.D**2 != t * t * b * b * s:",
+        ("tests/test_annotations.py::test_resolve_annotations_matches_oracle",),
+    ),
+    Mutant(
+        "reverse layer fill without its orientation flip",
+        "document.py",
+        "-index.orient[i] * index.orient[j] * entry.layer * t",
+        "-entry.layer * t",
+        ("tests/test_annotations.py::test_resolve_annotations_matches_oracle",),
     ),
     Mutant(
         "short well-annotated path for every matrix",
         "validator.py",
-        "if annotation.lines is index:",
-        "if True:",
+        "own = annotation.lines is index",
+        "own = True",
         (VALIDATOR + "test_well_annotated_foreign_defaults_check_every_pair",),
+    ),
+    Mutant(
+        "sign check bound without the square",
+        "perturb.py",
+        "bound = 16 * p * p * D * D",
+        "bound = 4 * p * D",
+        ("tests/test_perturb.py::test_sign_check_thin_overlap_bound_matches_reference",),
+    ),
+    Mutant(
+        "interleave witness from the bottom of the stack",
+        "validator.py",
+        "depth[c] = len(stack)",
+        "depth[c] = 0",
+        (VALIDATOR + "test_find_interleave_matches_reference",),
     ),
     Mutant(
         "perturb disk check dropped",

@@ -5,19 +5,27 @@ from fractions import Fraction
 
 import pytest
 
+import helpers
+import linkfold.document
 from helpers import (
+    DOCS_DIR,
     RATIONAL_DIRS,
     bars_by_line,
     big_eps,
     conf,
     corpus_geometries,
+    layer_entries,
     layered_strip,
     mk_linkage,
     overlapping_pairs,
+    random_layered_fan,
     random_layered_flat,
     random_sa_instance,
+    reference_check_well_annotated,
+    reference_line_overlaps,
     reference_ord_value,
     reference_overlapping_pairs,
+    reference_resolve_annotations,
     segments_configuration,
     stations_by_line,
     straight_chain,
@@ -27,15 +35,23 @@ from helpers import (
 from linkfold.annotations import (
     AnnotationMatrix,
     annotate,
+    line_layering,
+    ord_sign,
     ord_value,
     overlap_length,
     strict_crossing,
 )
-from linkfold.document import format_annotation_value
-from linkfold.errors import AnnotationError, LinkageError
+from linkfold.document import (
+    SparseAnnotation,
+    format_annotation_value,
+    parse_linkage_file,
+    resolve_annotations,
+)
+from linkfold.errors import AnnotationError, DocumentError, LinkageError
 from linkfold.geometry import canonical_line, lattice
 from linkfold.linkage import Configuration
 from linkfold.rationals import SqrtRational
+from linkfold.validator import check_well_annotated, validate
 
 F = Fraction
 
@@ -342,6 +358,20 @@ def test_annotation_matrix_overrides_over_defaults():
     assert B.lines is C.lines()  # kept, not rescanned
     with pytest.raises(AnnotationError):
         AnnotationMatrix.from_configuration(C, {(1, 1): SqrtRational(1)})
+    # an int override counts an overlapping pair's steps, and only such a
+    # pair has them; a value of the pair's magnitude is kept as its count
+    # and read back as given
+    steps = AnnotationMatrix.from_configuration(C, {(0, 2): -1, (2, 0): SqrtRational(1)})
+    assert steps.value(0, 2) == -1 and steps.overrides == {(0, 2): -1, (2, 0): 1}
+    assert B.overrides == {(0, 2): -1} and steps.value(2, 0) == 1
+    assert (steps.sign(0, 2), steps.sign(2, 0), steps.sign(0, 1)) == (-1, 1, 1)
+    wrong = AnnotationMatrix.from_configuration(C, {(2, 0): SqrtRational(2)})
+    assert wrong.overrides == {(2, 0): SqrtRational(2)} and wrong.sign(2, 0) == 1
+    root2 = SqrtRational(F(1, 2), 4)  # 1, in other fields
+    kept = AnnotationMatrix.from_configuration(C, {(2, 0): root2}).value(2, 0)
+    assert kept is root2
+    with pytest.raises(AnnotationError, match="non-overlapping"):
+        AnnotationMatrix.from_configuration(C, {(0, 1): 1})
 
 
 def _spiral(n, frame):
@@ -388,9 +418,11 @@ def test_line_index_matches_oracles():
         }
         segs = [C.segment(e) for e in L.edges]
         want = overlapping_pairs(segs)
-        assert list(index.overlaps) == list(want)
+        swept = reference_line_overlaps(isegs, lattice(C.placement.values())[0])
+        assert list(index.overlaps) == list(want) == list(swept) == list(index.steps)
         for key, v in index.overlaps.items():
             _same_fields(v, want[key], key)
+            _same_fields(v, swept[key], key)
             irrational += v.radicand != 1
         A = AnnotationMatrix.from_configuration(C)
         for i in range(len(segs)):
@@ -426,5 +458,135 @@ def test_ord_value_sign_on_lattice_images_huge_denominators():
         assert (v.coeff, v.radicand) == (ref.coeff, ref.radicand)
         images = lattice((*e1, *e2))[1]
         assert ord_value(tuple(images[:2]), tuple(images[2:])).sign() == v.sign()
+        assert ord_sign(tuple(images[:2]), tuple(images[2:])) == v.sign()
         signs[v.sign()] += 1
     assert min(signs.values()) >= 40, signs
+
+
+def _random_entries(rng, L, C):
+    """Sparse entries on (L, C): layer entries, value entries of the right
+    magnitude in the index's fields or others, of a wrong magnitude, and
+    on non-overlapping pairs; some pairs listed twice or both ways, and
+    now and then an entry resolve rejects."""
+    segs = [C.segment(e) for e in L.edges]
+    overlaps = reference_overlapping_pairs(segs)
+    ids = [e.id for e in L.edges]
+    entries = []
+    for (i, j), ov in overlaps.items():
+        kind = rng.randrange(7)
+        if kind == 0:
+            continue
+        if kind <= 2:
+            entries.append(SparseAnnotation(ids[i], ids[j], layer=rng.choice((1, -1))))
+            continue
+        v = ov.scale(rng.choice((1, -1)))
+        if kind == 4 and v.radicand != 1:
+            v = SqrtRational(v.coeff / 2, v.radicand * 4)  # same value, other fields
+        elif kind == 5:
+            v = rng.choice((v.scale(2), v.scale(F(1, 3)), SqrtRational(0), -v.scale(3)))
+        elif kind == 6:
+            v = SqrtRational(v.coeff, v.radicand * 2)
+        entries.append(SparseAnnotation(ids[i], ids[j], value=v))
+    for _ in range(rng.randint(0, 3)):
+        if len(ids) > 1:
+            i, j = rng.sample(range(len(ids)), 2)
+            if (i, j) not in overlaps:
+                v = reference_ord_value(segs[i], segs[j])
+                v = v if rng.random() < 0.5 else v + SqrtRational(F(1, 5))
+                entries.append(SparseAnnotation(ids[i], ids[j], value=v))
+            if rng.random() < 0.1:  # rejected unless the pair overlaps
+                entries.append(SparseAnnotation(ids[i], ids[j], layer=1))
+    if ids and rng.random() < 0.05:
+        entries.append(SparseAnnotation(ids[0], rng.choice((ids[0], "nowhere")), layer=1))
+    if entries and rng.random() < 0.3:
+        entries.append(rng.choice(entries))
+    rng.shuffle(entries)
+    return tuple(entries)
+
+
+def _irrational_spirals():
+    return [
+        _spiral(n, frame)
+        for n in (3, 8, 17)
+        for frame in (((1, 2, 1), (F(1, 2), 1)), ((2, -3, 3), (0, F(-1, 7))))
+    ]
+
+
+def test_resolve_annotations_matches_oracle(monkeypatch):
+    # every entry of the resolved matrix has the fields and the text of
+    # the SqrtRational the old resolve_annotations stored or read, and
+    # the well-annotated check, the layerings and validation agree with
+    # the dense oracle: layer entries, value entries of the right
+    # magnitude in other fields, wrong magnitudes and non-overlapping
+    # pairs alike. Bars on a line whose |u|^2 is no square have
+    # irrational lengths, so such spirals carry slack; resolve runs on
+    # them with its exactness precondition lifted, and validate only on
+    # exact inputs
+    rng = random.Random(2121)
+    cases = [(L, C, None) for L, C in sweep_inputs(rng, flats=40, contacts=40)]
+    cases += [random_layered_fan(rng)[:2] + (None,) for _ in range(25)]
+    cases += [(L, C, None) for L, C in _irrational_spirals()]
+    for path in sorted(DOCS_DIR.glob("*.json")):
+        doc = parse_linkage_file(path.read_text(encoding="utf-8"))
+        if doc.configuration is not None and doc.configuration.is_exact():
+            cases.append((doc.linkage, doc.configuration, doc.annotations))
+    for module in (linkfold.document, helpers):
+        monkeypatch.setattr(module, "require_conf0", lambda configuration: None)
+    outcomes = {"pass": 0, "fail": 0, "error": 0, "irrational": 0}
+    for L, C, sparse in cases:
+        for entries in (sparse, _random_entries(rng, L, C)):
+            if entries is None:
+                continue
+            C = Configuration(L, C.placement, C.epsilon)  # a fresh line index
+            try:
+                want = reference_resolve_annotations(L, C, entries)
+            except DocumentError as exc:
+                with pytest.raises(DocumentError) as caught:
+                    resolve_annotations(L, C, entries)
+                assert (str(caught.value), caught.value.path) == (str(exc), exc.path)
+                outcomes["error"] += 1
+                continue
+            got = resolve_annotations(L, C, entries)
+            for i, row in enumerate(want.entries):
+                for j, w in enumerate(row):
+                    _same_fields(got.value(i, j), w, (i, j))
+            report = check_well_annotated(L, C, got)
+            assert report == reference_check_well_annotated(L, C, want)
+            index = C.lines()
+            for line in index.bars:
+                assert line_layering(index, got, line) == line_layering(index, want, line)
+            if C.epsilon == 0:
+                assert validate(L, C, got) == validate(L, C, want)
+            outcomes[report.status] += 1
+            outcomes["irrational"] += any(
+                w.radicand not in (0, 1) for row in want.entries for w in row
+            )
+    assert min(outcomes.values()) >= 6 and outcomes["pass"] >= 20, outcomes
+
+
+def test_resolve_and_validate_build_no_sqrt_rational(monkeypatch):
+    # a 16-bar nested spiral annotated by layers only: the line index,
+    # resolve_annotations and all four checks run on ints and signs
+    for frame in (((1, 0, 1), (0, 0)), ((3, 4, 5), (F(1, 2), 1))):
+        L, C = _spiral(16, frame)
+        C = Configuration(L, C.placement)
+        heights = {e.id: k for k, e in enumerate(L.edges)}
+        entries = layer_entries(L, C, heights)
+        built = []
+        init, normal = SqrtRational.__init__, SqrtRational._normal.__func__
+
+        def counted_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        def counted_normal(cls, *args):
+            built.append(args)
+            return normal(cls, *args)
+
+        monkeypatch.setattr(SqrtRational, "__init__", counted_init)
+        monkeypatch.setattr(SqrtRational, "_normal", classmethod(counted_normal))
+        A = resolve_annotations(L, C, entries)
+        assert validate(L, C, A).ok
+        assert built == []
+        monkeypatch.undo()
+        assert len(C.lines().steps) == 16 * 15

@@ -39,7 +39,6 @@ from linkfold.corridors import (
 from linkfold.document import resolve_annotations
 from linkfold.errors import CorridorError
 from linkfold.linkage import Configuration, Linkage
-from linkfold.rationals import SqrtRational
 
 F = Fraction
 
@@ -196,7 +195,7 @@ def _graph_layering(adj):
     """line_layering of one line whose overlapping pairs are adj's arcs.
 
     The stub index puts every node on one line, oriented along it, and
-    each arc u -> v (v above u) gives v_uv = 1 and v_vu = -1; arcs both
+    each arc u -> v (v above u) gives signs +1 for v_uv and -1 for v_vu; arcs both
     ways make the pair disagree.
     """
     entries = {}
@@ -209,7 +208,7 @@ def _graph_layering(adj):
         pairs={0: sorted({(min(p), max(p)) for p in entries})},
         orient=[1] * (max(adj) + 1),
     )
-    annotation = SimpleNamespace(value=lambda i, j: SqrtRational(entries[i, j]))
+    annotation = SimpleNamespace(sign=lambda i, j: entries[i, j])
     return line_layering(index, annotation, 0)
 
 

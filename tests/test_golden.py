@@ -30,3 +30,11 @@ def test_repeat_runs_are_byte_stable(name, tmp_path):
 
 def test_verify_all_counts(tmp_path):
     assert verify_all(tmp_path) == len(RUNS)
+
+
+@pytest.mark.parametrize("name", sorted(DOCS))
+def test_builders_reproduce_frozen_documents(name):
+    # a builder that drifts from its frozen document would rewrite it on
+    # the next regeneration, so every builder must give the frozen bytes
+    frozen = (DATA_DIR / "docs" / f"{name}.json").read_bytes()
+    assert DOCS[name]().encode("utf-8") == frozen

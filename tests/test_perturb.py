@@ -17,6 +17,7 @@ from helpers import (
     interleave_gadget,
     mk_linkage,
     layer_entries,
+    layered_strip,
     perturbation_corpus,
     random_layered_fan,
     random_layered_flat,
@@ -183,7 +184,7 @@ def test_sign_check_matches_fraction_reference_on_perturb_attempts(monkeypatch):
         got = sign_check(prep, cdelta, da)
         assert got == reference_sign_check(prep, cdelta.placement, da)
         rows = [list(row) for row in prep.annotation.entries]
-        for i, j in prep.overlaps:
+        for i, j in prep.configuration.lines().steps:
             if flips.random() < 0.3:
                 rows[i][j] = -rows[i][j]
         flipped = dataclasses.replace(prep, annotation=AnnotationMatrix.from_rows(rows))
@@ -203,6 +204,26 @@ def test_sign_check_matches_fraction_reference_on_perturb_attempts(monkeypatch):
             pass
     assert hinged >= 8, hinged
     assert outcomes[None, False] >= 20 and outcomes.total() >= 30, outcomes
+
+
+def test_sign_check_thin_overlap_bound_matches_reference():
+    # a snapshot with every fragment at home keeps the folded pair
+    # collinear, so its signs read 0 and only the thin-overlap bound
+    # (overlap < 4 da) decides; radii on both sides of the bound, on a
+    # horizontal and a Pythagorean line, agree with the Fraction oracle
+    module = importlib.import_module("linkfold.perturb")
+    outcomes = collections.Counter()
+    for frame in (((1, 0, 1), (0, 0)), ((3, 4, 5), (F(1, 2), 1))):
+        for k in range(1, 7):
+            L, C, heights = layered_strip([0, 7, 7 - k], frame=frame)
+            prep = module._prepare(L, C, annotation_from_layers(L, C, heights))
+            snapshot, _ = module._rationalized_snapshot(L, C, {})
+            cdelta = Configuration(prep.extended, snapshot, 100)
+            for da in (F(k, 4) - F(1, 997), F(k, 4), F(k, 4) + F(1, 997)):
+                got = module._sign_check(prep, cdelta, da)
+                assert got == reference_sign_check(prep, cdelta.placement, da)
+                outcomes[got is None, da > F(k, 4)] += 1
+    assert outcomes == {(False, False): 24, (True, True): 12}, outcomes
 
 
 PLANTED = {

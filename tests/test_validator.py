@@ -27,6 +27,7 @@ from helpers import (
     random_sign_entries,
     reference_check_well_annotated,
     reference_check_well_ordered,
+    reference_find_interleave,
     reference_germ_classes,
     reference_magnified_views,
     reference_overlapping_pairs,
@@ -267,6 +268,35 @@ def test_find_interleave_matches_brute_force():
     assert hits > 100
 
 
+def test_find_interleave_matches_reference():
+    # the label -> depth map gives the stack scan's witness, position for
+    # position, on random sequences and on the views of 17-bar spirals,
+    # with their entrance orders as validated and shuffled
+    rng = random.Random(1717)
+    seqs = [
+        [rng.randint(0, k) for _ in range(rng.randint(0, 30))]
+        for k in (rng.randint(1, 6) for _ in range(1500))
+    ]
+    for hinged in (False, True):
+        lengths = sorted(rng.sample(range(1, 52), 17), reverse=True)
+        xs = [0]
+        for k, length in enumerate(lengths):
+            xs.append(xs[-1] + (length if k % 2 == 0 else -length))
+        L, C, heights = layered_strip(xs, hinged=hinged)
+        views = magnified_views(L, C)
+        wo = check_well_ordered(views, annotation_from_layers(L, C, heights), C)
+        assert wo.report.status == "pass"
+        for view, order in zip(views, wo.orders):
+            seq = [view.class_of[k] for k in order]
+            seqs += [seq] + [rng.sample(seq, len(seq)) for _ in range(3)]
+    hits = 0
+    for seq in seqs:
+        got = _find_interleave(seq)
+        assert got == reference_find_interleave(seq)
+        hits += got is not None
+    assert hits > 300, hits
+
+
 def test_germ_classes_match_union_find():
     rng = random.Random(71)
     instances = [(L, C) for _, L, C, _ in corpus_geometries() if C.epsilon == 0]
@@ -432,32 +462,41 @@ def test_resolve_and_validate_call_counts(monkeypatch):
     counts = count_calls(monkeypatch, linkfold.annotations, names)
     A = resolve_annotations(L, C, entries)
     assert validate(L, C, A).ok
-    # one overlap_length per overlapping unordered pair, shared by resolve
-    # and validate; every ord_value default is either overridden or never read
-    assert counts == {"overlap_length": 216, "ord_value": 0}
+    # the line index reads overlaps as whole steps off the sorted
+    # parameters, so overlap_length never runs; every ord_value default is
+    # either overridden or never read
+    assert counts == {"overlap_length": 0, "ord_value": 0}
 
 
 def test_validate_reads_each_overlapping_entry_twice(monkeypatch):
     # a 64-bar nested spiral: every bar overlaps every other, 4032 ordered
     # pairs; validate reads each entry once for its magnitude and once to
-    # layer the line, however many entrances share the pair
+    # layer the line, however many entrances share the pair; its magnitude
+    # is an int override, so the layering reads only signs
     lengths = sorted(random.Random(3).sample(range(1, 193), 64), reverse=True)
     xs = [0]
     for k, length in enumerate(lengths):
         xs.append(xs[-1] + (length if k % 2 == 0 else -length))
     L, C, heights = layered_strip(xs)
     A = resolve_annotations(L, C, layer_entries(L, C, heights))
-    assert len(C.lines().overlaps) == 64 * 63
-    reads = []
-    value = AnnotationMatrix.value
-
-    def counted(self, i, j):
-        reads.append((i, j))
-        return value(self, i, j)
-
-    monkeypatch.setattr(AnnotationMatrix, "value", counted)
+    assert len(C.lines().steps) == 64 * 63
+    reads = _count_reads(monkeypatch)
     assert validate(L, C, A).ok
-    assert len(reads) <= 2 * 64 * 63
+    assert len(reads["value"]) == 0 and len(reads["sign"]) <= 64 * 63
+
+
+def _count_reads(monkeypatch):
+    """Record every AnnotationMatrix.value and .sign call's pair."""
+    reads = {"value": [], "sign": []}
+    for name, seen in reads.items():
+        method = getattr(AnnotationMatrix, name)
+
+        def counted(self, i, j, _method=method, _seen=seen):
+            _seen.append((i, j))
+            return _method(self, i, j)
+
+        monkeypatch.setattr(AnnotationMatrix, name, counted)
+    return reads
 
 
 def test_well_ordered_scans_only_faulty_lines(monkeypatch):
@@ -482,17 +521,10 @@ def test_well_ordered_scans_only_faulty_lines(monkeypatch):
     )
     A = resolve_annotations(L, C, layer_entries(Ls, Cs, heights) + cycle)
     views = magnified_views(L, C)
-    reads = []
-    value = AnnotationMatrix.value
-
-    def counted(self, i, j):
-        reads.append((i, j))
-        return value(self, i, j)
-
-    monkeypatch.setattr(AnnotationMatrix, "value", counted)
+    reads = _count_reads(monkeypatch)
     got = check_well_ordered(views, A, C)
     assert got.report.detail == "three-way cycle in the entrance order"
-    assert len(reads) <= len(C.lines().overlaps) + 100
+    assert len(reads["value"]) + len(reads["sign"]) <= len(C.lines().steps) + 100
     monkeypatch.undo()
     assert got == reference_check_well_ordered(views, A)
 
@@ -500,8 +532,8 @@ def test_well_ordered_scans_only_faulty_lines(monkeypatch):
 def test_one_line_index_per_configuration(monkeypatch):
     # resolve, validate, corridors, layer orders and delta_bound on one
     # configuration share its line index: canonical_line runs once per
-    # positive bar (plus each corridor's input line) and overlap_length
-    # once per overlapping unordered pair
+    # positive bar (plus each corridor's input line), and overlaps are read
+    # off the sorted parameters, so overlap_length never runs
     xs = [0, 5, 1, 6, 2, 7, 3, 8]
     specs, coords, heights = [], {}, {}
     frames = {"a": ((1, 0, 1), (0, 0)), "b": ((3, 4, 5), (0, 1)), "c": ((0, 1, 1), (20, 0))}
@@ -525,4 +557,4 @@ def test_one_line_index_per_configuration(monkeypatch):
     positive = sum(e.rest_length > 0 for e in L.edges)
     assert len(cs) == 3 and positive == 21 < len(L.edges)
     assert lines["canonical_line"] == positive + len(cs)
-    assert 2 * overlaps["overlap_length"] == len(pairs) > 0
+    assert overlaps["overlap_length"] == 0 < len(pairs)
