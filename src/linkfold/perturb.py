@@ -1,16 +1,20 @@
 """Construction of nearby nontouching configurations.
 
 Every vertex is split into per-edge fragments kept inside a disk of
-radius delta around the original location. Positive bars are shifted
-off their corridor line by delta^2 times their layer height, fragments
-are placed where the shifted bar exits the disk, and all zero-length
-material of a merged cluster collapses onto one interior point. Floats
-steer this placement once, at delta itself; the rationalized snapshot
-is then certified exactly: every fragment inside the disk, membership,
-nontouching, and annotation signs. A valid input is a limit of
-nontouching configurations, so the construction succeeds at every
-radius below delta_bound and is never retried: any miss raises
-PerturbationError with the witness as its offending tuple.
+radius delta around the original location. A positive bar is shifted
+off its corridor line by delta^2 h n / N, where h is its layer height,
+n the corridor's integer normal and N = ceil(|n|); its fragments are
+placed where the shifted bar exits the disk, rounded inward to a grid
+of step 1/K, and all zero-length material of a merged cluster collapses
+onto one interior point. The placement is computed on integers, so
+every fragment lies inside its disk by construction and the layer
+offsets survive at every radius; floats only steer the direction of a
+fragment that no bar determines. The snapshot is then certified
+exactly: every fragment inside the disk, membership, nontouching, and
+annotation signs. A valid input is a limit of nontouching
+configurations, so the construction succeeds at every radius below
+delta_bound and is never retried: any miss raises PerturbationError
+with the witness as its offending tuple.
 """
 
 from __future__ import annotations
@@ -50,116 +54,100 @@ class PerturbationResult:
     max_displacement_sq: Fraction
 
 
-def _circle_exit(ax: float, ay: float, bx: float, by: float, r: float) -> float:
-    """Parameter s in (0, 1] where A + s(B - A) leaves the disk |p| <= r.
+def _toward(v: tuple[int, int], room: int, K: int) -> tuple[int, int]:
+    """The longest (m/K) v, m an int, with squared length at most room,
+    each coordinate truncated toward zero (exact when K divides v)."""
+    m = math.isqrt(K * K * room // (v[0] * v[0] + v[1] * v[1]))
+    return tuple(m * c // K if c >= 0 else -(-m * c // K) for c in v)
 
-    On a bar of length l shifted by A = r^2 h u normal to it, A lies
-    inside (|A| < r since r < 1/n) and B outside (|B|^2 = l^2 + |A|^2,
-    and r < l).
+
+def _snapshot(prep: _Prepared, delta: Fraction) -> tuple[dict[str, Point], Fraction]:
+    """Every fragment's exact location at radius delta = p/q, and the
+    largest squared displacement.
+
+    Displacements are integer vectors in units of 1/M, M = K q D with D
+    the input's lattice denominator: one denominator for every fragment
+    but the mean centres below. A positive-bar fragment sits at A + s d,
+    with A = delta^2 h n / N normal to the bar vector d, so
+    |A + s d|^2 = |A|^2 + s^2 |d|^2 and the largest s = m/K inside the
+    disk takes one isqrt. K = q 2^40 (ceil(l_max) + 1) lcm(N) keeps the
+    inward rounding below delta 2^-40 for every bar. A zero-length
+    cluster's centre is the exact mean exit of its raised bars; without
+    them it lies 0.45 delta along the sum of its exits, or along a
+    golden-angle direction when that sum is zero, as an isolated vertex
+    does at 0.55 delta.
     """
-    dx, dy = bx - ax, by - ay
-    c2 = dx * dx + dy * dy
-    c1 = 2.0 * (ax * dx + ay * dy)
-    c0 = ax * ax + ay * ay - r * r
-    return (-c1 + math.sqrt(c1 * c1 - 4.0 * c2 * c0)) / (2.0 * c2)
-
-
-def _float_displacements(
-    linkage: Linkage,
-    configuration: Configuration,
-    psi_map: dict[str, tuple[int, tuple[float, float]]],
-    da: float,
-) -> dict[tuple[str, int], tuple[float, float]]:
-    """Fragment displacement vectors (relative to the home location).
-
-    Positive-bar fragments go to the disk exit of their shifted bar.
-    All zero-bar fragments of one merged cluster share a single interior
-    point, so every zero bar keeps realized length exactly zero and the
-    cluster stays one merged point in the output.
-    """
-    C = configuration
+    linkage, C = prep.linkage, prep.configuration
+    images, D = C.lattice(), C.lines().D
+    p, q = delta.numerator, delta.denominator
+    K = q * 2**40 * prep.grid
+    scale = K * q  # M / D: one lattice step in units of 1/M
+    M = scale * D
+    r2 = (p * M // q) ** 2
     part = merged_vertex_partition(linkage)
-    disp: dict[tuple[str, int], tuple[float, float]] = {}
-    golden_count: dict[Point, int] = {}
-    cluster_dirs: dict[int, list[tuple[float, float]]] = {}
-    cluster_exits: dict[int, list[tuple[float, float]]] = {}
-    pending_zero: list[tuple[str, int, int, Point]] = []
+    placement: dict[str, Point] = {}
+    best = 0
+    exits: dict[int, list[tuple[tuple[int, int], int]]] = {}
+    pending: list[tuple[str, int, tuple[int, int]]] = []
+    golden_count: dict[tuple[int, int], int] = {}
+
+    def golden(home: tuple[int, int]) -> tuple[int, int]:
+        k = golden_count.get(home, 0)
+        golden_count[home] = k + 1
+        ang = k * GOLDEN_ANGLE
+        return round(2**30 * math.cos(ang)), round(2**30 * math.sin(ang))
+
+    def place(home: tuple[int, int], f: tuple[int, int]) -> Point:
+        nonlocal best
+        best = max(best, f[0] * f[0] + f[1] * f[1])
+        return Fraction(home[0] + f[0], M), Fraction(home[1] + f[1], M)
+
     for v in linkage.vertices:
-        p = C.placement[v]
+        img = images[v]
+        home = (img[0] * scale, img[1] * scale)
         slots = linkage.incident_slots(v)
         if not slots:
-            k = golden_count.get(p, 0)
-            golden_count[p] = k + 1
-            ang = k * GOLDEN_ANGLE
-            disp[(v, 0)] = (0.55 * da * math.cos(ang), 0.55 * da * math.sin(ang))
+            f = _toward(golden(home), 121 * r2 // 400, K)
+            placement[f"{v}.0"] = place(home, f)
             continue
         cid = part.class_of[v]
         for k, ei in enumerate(slots):
             e = linkage.edges[ei]
             if e.rest_length == 0:
-                pending_zero.append((v, k, cid, p))
+                placement[f"{v}.{k}"] = None  # keeps the vertex order
+                pending.append((f"{v}.{k}", cid, home))
                 continue
-            w = e.head if e.tail == v else e.tail
-            q = C.placement[w]
-            h, (ux, uy) = psi_map[e.id]
-            ax, ay = da * da * h * ux, da * da * h * uy
-            bx = float(q[0] - p[0]) + ax
-            by = float(q[1] - p[1]) + ay
-            s = _circle_exit(ax, ay, bx, by, da)
-            fx, fy = ax + s * (bx - ax), ay + s * (by - ay)
-            disp[(v, k)] = (fx, fy)
-            nrm = math.hypot(fx, fy)
-            cluster_dirs.setdefault(cid, []).append((fx / nrm, fy / nrm))
-            if h:
-                cluster_exits.setdefault(cid, []).append((fx, fy))
-    centers: dict[int, tuple[float, float]] = {}
-    for v, k, cid, p in pending_zero:
-        if cid not in centers:
+            w = images[e.head if e.tail == v else e.tail]
+            h, (nx, ny), N = prep.psi_map[e.id]
+            lift = p * p * h * (M // (q * q * N))
+            ax, ay = nx * lift, ny * lift
+            d = ((w[0] - img[0]) * scale, (w[1] - img[1]) * scale)
+            sx, sy = _toward(d, r2 - ax * ax - ay * ay, K)
+            f = (ax + sx, ay + sy)
+            placement[f"{v}.{k}"] = place(home, f)
+            exits.setdefault(cid, []).append((f, h))
+    centres: dict[int, Point] = {}
+    for name, cid, home in pending:
+        if cid not in centres:
             # the mean exit of the raised bars keeps their offset normal to
             # the corridor, so extension bars from the centre cross no bar
-            # layered between them; a unit mean direction would shrink it,
-            # so only a cluster without raised bars takes that direction
-            exits = cluster_exits.get(cid)
-            dirs = cluster_dirs.get(cid, [])
-            mx = sum(d[0] for d in dirs) / max(len(dirs), 1)
-            my = sum(d[1] for d in dirs) / max(len(dirs), 1)
-            nrm = math.hypot(mx, my)
-            if exits:
-                centers[cid] = (
-                    sum(x for x, _ in exits) / len(exits),
-                    sum(y for _, y in exits) / len(exits),
+            # layered between them; as a mean of fragments inside the disk
+            # it never raises the largest displacement
+            raised = [f for f, h in exits.get(cid, ()) if h]
+            if raised:
+                c = len(raised)
+                centres[cid] = tuple(
+                    Fraction(home[i] * c + sum(f[i] for f in raised), M * c)
+                    for i in (0, 1)
                 )
-            elif nrm > 1e-9:
-                bx, by = mx / nrm, my / nrm
-                centers[cid] = (0.45 * da * bx, 0.45 * da * by)
             else:
-                g = golden_count.get(p, 0)
-                golden_count[p] = g + 1
-                ang = g * GOLDEN_ANGLE
-                centers[cid] = (0.45 * da * math.cos(ang), 0.45 * da * math.sin(ang))
-        disp[(v, k)] = centers[cid]
-    return disp
-
-
-def _rationalized_snapshot(
-    linkage: Linkage,
-    configuration: Configuration,
-    disp: dict[tuple[str, int], tuple[float, float]],
-) -> tuple[dict[str, Point], Fraction]:
-    """Exact fragment placement, displacements truncated to 10^-12, and
-    the largest squared displacement."""
-    scale = 10**12
-    placement: dict[str, Point] = {}
-    max_d2 = Fraction(0)
-    for v in linkage.vertices:
-        p = configuration.placement[v]
-        for k in range(max(linkage.degree(v), 1)):
-            fx, fy = disp.get((v, k), (0.0, 0.0))
-            dx = Fraction(int(fx * scale), scale)
-            dy = Fraction(int(fy * scale), scale)
-            max_d2 = max(max_d2, dx * dx + dy * dy)
-            placement[f"{v}.{k}"] = (p[0] + dx, p[1] + dy)
-    return placement, max_d2
+                fs = [f for f, _ in exits.get(cid, ())]
+                s = (sum(f[0] for f in fs), sum(f[1] for f in fs))
+                if s == (0, 0):
+                    s = golden(home)
+                centres[cid] = place(home, _toward(s, 81 * r2 // 400, K))
+        placement[name] = centres[cid]
+    return placement, Fraction(best, M * M)
 
 
 def _sign_check(
@@ -201,7 +189,9 @@ class _Prepared:
     annotation: AnnotationMatrix
     bound: Fraction
     orders: tuple[CorridorOrder, ...]
-    psi_map: dict[str, tuple[int, tuple[float, float]]]  # edge id -> (layer, normal)
+    # edge id -> (layer h, corridor normal n, N = ceil(|n|))
+    psi_map: dict[str, tuple[int, tuple[int, int], int]]
+    grid: int  # (ceil(l_max) + 1) lcm(N), the delta-free factor of K
     extended: Linkage
     emap: ExtensionMap
 
@@ -219,17 +209,19 @@ def _prepare(
     orders = tuple(
         corridor_order(c, annotation, linkage, configuration) for c in cors
     )
-    psi_map: dict[str, tuple[int, tuple[float, float]]] = {}
+    psi_map = {}
     for co in orders:
-        nx, ny = co.corridor.normal
-        nrm = math.hypot(nx, ny)
-        u = (nx / nrm, ny / nrm)
+        n = co.corridor.normal
+        n2 = n[0] * n[0] + n[1] * n[1]
+        N = math.isqrt(n2 - 1) + 1
         for eid, h in co.psi.items():
-            psi_map[eid] = (h, u)
+            psi_map[eid] = (h, n, N)
+    reach = max((math.ceil(e.rest_length) for e in linkage.edges), default=0) + 1
+    grid = reach * math.lcm(*(N for _, _, N in psi_map.values()))
 
     extended, _, emap = extend_split(linkage, configuration)
     return _Prepared(
-        linkage, configuration, annotation, bound, orders, psi_map, extended, emap
+        linkage, configuration, annotation, bound, orders, psi_map, grid, extended, emap
     )
 
 
@@ -243,9 +235,8 @@ def _attempt(prep: _Prepared, delta: Fraction) -> PerturbationResult:
         raise PerturbationError(
             f"delta {delta} outside the admissible range (0, {prep.bound})"
         )
-    linkage, configuration, extended = prep.linkage, prep.configuration, prep.extended
-    disp = _float_displacements(linkage, configuration, prep.psi_map, float(delta))
-    snapshot, max_d2 = _rationalized_snapshot(linkage, configuration, disp)
+    extended = prep.extended
+    snapshot, max_d2 = _snapshot(prep, delta)
     if max_d2 > delta * delta:
         raise _miss(("fragment outside the disk",))
     eps = 2 * delta
@@ -263,7 +254,7 @@ def _attempt(prep: _Prepared, delta: Fraction) -> PerturbationResult:
         delta_requested=delta,
         delta_used=delta,
         slack=eps,
-        psi={eid: h for eid, (h, _) in prep.psi_map.items()},
+        psi={eid: h for eid, (h, _, _) in prep.psi_map.items()},
         corridor_orders=prep.orders,
         attempts=1,
         max_displacement_sq=max_d2,
@@ -284,9 +275,11 @@ def perturb(
     (0, delta_bound). The output extends the linkage by vertex
     splitting, carries slack 2 * delta, and is checked exactly:
     fragment containment, membership, nontouching, and preserved
-    annotation signs on overlapping pairs. The construction runs once,
-    at delta; a miss raises PerturbationError whose offending tuple is
-    the witness. max_halvings is unused: no smaller radius is tried.
+    annotation signs on overlapping pairs. The fragments are placed
+    exactly, on integers, so layer offsets of order delta^2 survive at
+    any radius however small. The construction runs once, at delta; a
+    miss raises PerturbationError whose offending tuple is the witness.
+    max_halvings is unused: no smaller radius is tried.
     """
     prep = _prepare(linkage, configuration, annotation)
     return _attempt(prep, Fraction(delta))

@@ -190,6 +190,12 @@ RUNS = [
         "perturb-zero-star.json",
     ),
     (
+        "perturb-spiral-small",
+        ["perturb", "{spiral4}", "--delta", "1/10000000", "--out", "{out}"],
+        0,
+        "perturb-spiral-small.json",
+    ),
+    (
         "sweep-triangle",
         ["perturb", "{degenerate-triangle}", "--delta", "1/10", "--sweep", "3"],
         0,

@@ -169,6 +169,136 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "perturb grid fixed at 10^12",
+        "perturb.py",
+        "K = q * 2**40 * prep.grid",
+        "K = 10**12",
+        (
+            "tests/test_perturb.py::test_perturb_doubled_chain_exact_coordinates",
+            "tests/test_perturb.py::test_perturb_at_radii_down_to_bound_times_1e_12",
+        ),
+    ),
+    Mutant(
+        "perturb disk exit rounded outward",
+        "perturb.py",
+        "m = math.isqrt(K * K * room // (v[0] * v[0] + v[1] * v[1]))",
+        "m = math.isqrt(K * K * room // (v[0] * v[0] + v[1] * v[1])) + 1",
+        (
+            "tests/test_perturb.py::test_perturb_doubled_chain_exact_coordinates",
+            "tests/test_perturb.py::test_perturb_corpus_soundness",
+        ),
+    ),
+    Mutant(
+        "perturb offset without the layer height",
+        "perturb.py",
+        "lift = p * p * h * (M // (q * q * N))",
+        "lift = p * p * (M // (q * q * N))",
+        (
+            "tests/test_perturb.py::test_perturbed_corpus_matches_reference",
+            "tests/test_perturb.py::test_perturb_at_radii_down_to_bound_times_1e_12",
+        ),
+    ),
+    Mutant(
+        "sign check reads the pair swapped",
+        "perturb.py",
+        "got = ord_sign(new_segs[i], new_segs[j])",
+        "got = ord_sign(new_segs[j], new_segs[i])",
+        ("tests/test_perturb.py::test_sign_check_matches_fraction_reference_on_perturb_attempts",),
+    ),
+    Mutant(
+        "delta_bound without the wrap-around pair",
+        "corridors.py",
+        "ordered[1:] + ordered[:1]",
+        "ordered[1:]",
+        (
+            CORRIDORS + "test_delta_bound_least_sine_wraps_around",
+            CORRIDORS + "test_delta_bound_matches_all_pairs_reference",
+        ),
+    ),
+    Mutant(
+        "box sweep in input order",
+        "geometry.py",
+        "sorted(range(len(boxes)), key=lambda k: boxes[k][0])",
+        "range(len(boxes))",
+        ("tests/test_geometry.py::test_box_pairs_matches_brute_force",),
+    ),
+    Mutant(
+        "boxes open in x",
+        "geometry.py",
+        "boxes[k][2] >= x0",
+        "boxes[k][2] > x0",
+        ("tests/test_geometry.py::test_box_pairs_matches_brute_force",),
+    ),
+    Mutant(
+        "boxes open in y",
+        "geometry.py",
+        "boxes[k][1] <= y1 and y0 <= boxes[k][3]",
+        "boxes[k][1] < y1 and y0 < boxes[k][3]",
+        (
+            "tests/test_geometry.py::test_box_pairs_matches_brute_force",
+            "tests/test_linkage.py::test_touch_witness_matches_reference_random",
+        ),
+    ),
+    Mutant(
+        "macroscopic check without same-line pruning",
+        "validator.py",
+        " or lines[i] == lines[j]",
+        "",
+        ("tests/test_linkage.py::test_macroscopic_tests_only_pairs_across_lines",),
+    ),
+    Mutant(
+        "membership upper band closed",
+        "linkage.py",
+        "if d2 > hi * hi * t2:",
+        "if d2 >= hi * hi * t2:",
+        ("tests/test_linkage.py::test_membership_band_edges_exact",),
+    ),
+    Mutant(
+        "membership lower band below epsilon",
+        "linkage.py",
+        "if lo >= 0 and d2 < lo * lo * t2:",
+        "if d2 < lo * lo * t2:",
+        ("tests/test_linkage.py::test_membership_band_edges_exact",),
+    ),
+    Mutant(
+        "surd sign read from the denominator",
+        "rationals.py",
+        "n = self.coeff.numerator",
+        "n = self.coeff.denominator",
+        (
+            "tests/test_rationals.py::test_surd_mixed_comparisons",
+            "tests/test_annotations.py::test_ord_value_sign_on_lattice_images_huge_denominators",
+        ),
+    ),
+    Mutant(
+        "surd equality by coefficient whatever the radicand",
+        "rationals.py",
+        "equal radicands compare by coefficient\n            if self.radicand == other.radicand:",
+        "equal radicands compare by coefficient\n            if True:",
+        ("tests/test_rationals.py::test_surd_equality_and_hash_follow_the_key",),
+    ),
+    Mutant(
+        "tail endpoint germ points backward",
+        "validator.py",
+        'Inbound(i, e.id, u, -1, e.tail, "endpoint")',
+        'Inbound(i, e.id, back, -1, e.tail, "endpoint")',
+        (VALIDATOR + "test_magnified_views_match_scan_reference",),
+    ),
+    Mutant(
+        "pass germs at a bar's own endpoint",
+        "validator.py",
+        "points[bisect_right(params, lo) : bisect_left(params, hi)]",
+        "points[bisect_left(params, lo) : bisect_left(params, hi)]",
+        (VALIDATOR + "test_magnified_views_match_scan_reference",),
+    ),
+    Mutant(
+        "corridor bar covers one cut more",
+        "corridors.py",
+        "bisect_left(params, lo), bisect_left(params, hi)):",
+        "bisect_left(params, lo), bisect_left(params, hi) + 1):",
+        (CORRIDORS + "test_corridors_match_cut_reference",),
+    ),
+    Mutant(
         "delta_bound renamed",
         "corridors.py",
         "def delta_bound(",

@@ -26,6 +26,8 @@ import linkfold.cli as cli
 from linkfold.chains import canonical_closed
 from linkfold.cli import main
 from linkfold.document import SparseAnnotation, parse_linkage_file, write_document
+from linkfold.geometry import sqdist
+from linkfold.linkage import is_nontouching
 from linkfold.rationals import SqrtRational
 
 REPO = Path(__file__).resolve().parent.parent
@@ -402,8 +404,26 @@ def test_canonical(capsys, tmp_path):
     assert "error" in err
 
 
+def test_perturb_small_radius(capsys, tmp_path):
+    # the layer offset delta^2 h survives at delta = 1/10^7 on the frozen
+    # spiral: the output is a nontouching extension within delta of home
+    doc = REPO / "tests" / "data" / "docs" / "spiral4.json"
+    out_path = tmp_path / "spiral.json"
+    code, _, err = run(
+        capsys, "perturb", str(doc), "--delta", "1/10000000", "--out", str(out_path)
+    )
+    assert code == 0, err
+    source = parse_linkage_file(doc.read_text())
+    result = parse_linkage_file(out_path.read_text(), strict=True)
+    assert is_nontouching(result.linkage, result.configuration)
+    for v, point in result.configuration.placement.items():
+        home = source.configuration.placement[result.extension_map.original_vertex(v)]
+        assert sqdist(point, home) <= F(1, 10**14)
+
+
 def test_values_beyond_float_range(capsys, tmp_path):
-    # exact values are fine, but floats steer placements and drawings
+    # exact values are fine, and perturb places its fragments on integers;
+    # floats steer drawings and canonical placements, which refuse them
     big = 10**400
     tri = write(
         tmp_path / "tri.json",
@@ -413,9 +433,15 @@ def test_values_beyond_float_range(capsys, tmp_path):
     strip = write(
         tmp_path / "strip.json", write_document(linkage=L, configuration=C)
     )
+    code, out, err = run(capsys, "perturb", strip, "--delta", "1/100")
+    assert code == 0, err
+    result = parse_linkage_file(out, strict=True)
+    assert is_nontouching(result.linkage, result.configuration)
+    for v, point in result.configuration.placement.items():
+        home = C.placement[result.extension_map.original_vertex(v)]
+        assert sqdist(point, home) <= F(1, 10**4)
     for argv in (
         ("canonical", tri),
-        ("perturb", strip, "--delta", "1/100"),
         ("render", strip),
         ("render", strip, "--display-delta", "1/100"),
     ):

@@ -496,15 +496,15 @@ def test_touch_witness_matches_reference_on_perturb_attempts(monkeypatch):
         perturb(L, C, A, F(1, 4 * len(L.edges)))
     assert hinged >= 8 and calls == collections.Counter({True: 40}), (hinged, calls)
 
-    place = module._float_displacements
+    place = module._snapshot
 
     def mirrored(*args):
-        disp = place(*args)
-        x, y = disp["v2", 0]
-        disp["v2", 0] = (x, -y)
-        return disp
+        snapshot, max_d2 = place(*args)
+        x, y = snapshot["v2.0"]
+        snapshot["v2.0"] = (x, -y)
+        return snapshot, max_d2
 
-    monkeypatch.setattr(module, "_float_displacements", mirrored)
+    monkeypatch.setattr(module, "_snapshot", mirrored)
     with pytest.raises(PerturbationError) as caught:
         perturb(*doubled_chain(), F(1, 10))
     assert caught.value.offending == ("bars cross", "e1", "e2")

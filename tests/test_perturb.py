@@ -51,13 +51,14 @@ def test_perturb_doubled_chain_exact_coordinates():
     pl = res.configuration.placement
     assert pl["v0.0"] == (F(1, 10), F(0))
     assert pl["v1.0"] == (F(9, 10), F(0))
-    # fragments on the lifted bar sit exactly delta^2 above the line
-    assert pl["v1.1"][1] == F(1, 100)
-    assert pl["v2.0"][1] == F(1, 100)
-    x_fold = 1 - math.sqrt(99) / 100
-    x_far = math.sqrt(99) / 100
-    assert abs(float(pl["v1.1"][0]) - x_fold) < 1e-9
-    assert abs(float(pl["v2.0"][0]) - x_far) < 1e-9
+    # fragments on the lifted bar sit exactly delta^2 above the line, at
+    # the disk exit sqrt(99)/100 rounded inward to the grid 1/K, with
+    # K = q 2^40 (ceil(l_max) + 1) lcm(N), and N = 1 on the x-axis
+    K = 10 * 2**40 * 2
+    s = F(math.isqrt(99 * K * K // 100**2), K)
+    assert s * s + F(1, 100) ** 2 <= F(1, 100) < (s + F(1, K)) ** 2 + F(1, 100) ** 2
+    assert pl["v1.1"] == (1 - s, F(1, 100))
+    assert pl["v2.0"] == (s, F(1, 100))
     assert is_nontouching(res.linkage, res.configuration)
 
 
@@ -149,6 +150,29 @@ def test_perturb_layered_flats_and_fans_at_shrinking_radii():
     assert hinged >= 5
 
 
+def test_perturb_at_radii_down_to_bound_times_1e_12():
+    # the corpus and seeded layered flats and fans perturb at
+    # delta = bound/2 * 10^-k for k = 0, 4, 8, 12: each output touches
+    # nothing, keeps every fragment within delta of home, and reduces back
+    # to the input
+    rng = random.Random(2718)
+    cases = [(L, C, A) for _, L, C, A in perturbation_corpus()]
+    layered = [random_layered_flat(rng, rng.randint(2, 8)) for _ in range(12)]
+    layered += [random_layered_fan(rng) for _ in range(6)]
+    for L, C, heights in layered:
+        cases.append((L, C, resolve_annotations(L, C, layer_entries(L, C, heights))))
+    for L, C, A in cases:
+        for k in (0, 4, 8, 12):
+            d = delta_bound(L, C) / 2 / 10**k
+            res = perturb(L, C, A, d)
+            assert reference_is_nontouching(res.linkage, res.configuration), k
+            assert res.max_displacement_sq <= d * d
+            L2, emap = res.linkage, res.extension_map
+            home = {v: C.placement[emap.original_vertex(v)] for v in L2.vertices}
+            RL, RC = reduce(L2, Configuration(L2, home), emap)
+            assert RL == L and RC.placement == C.placement
+
+
 def test_perturb_sign_stability():
     # every nonzero annotation entry keeps its sign after perturbation
     for name, L, C, A in perturbation_corpus():
@@ -217,7 +241,8 @@ def test_sign_check_thin_overlap_bound_matches_reference():
         for k in range(1, 7):
             L, C, heights = layered_strip([0, 7, 7 - k], frame=frame)
             prep = module._prepare(L, C, annotation_from_layers(L, C, heights))
-            snapshot, _ = module._rationalized_snapshot(L, C, {})
+            home = prep.emap.original_vertex
+            snapshot = {v: C.placement[home(v)] for v in prep.extended.vertices}
             cdelta = Configuration(prep.extended, snapshot, 100)
             for da in (F(k, 4) - F(1, 997), F(k, 4), F(k, 4) + F(1, 997)):
                 got = module._sign_check(prep, cdelta, da)
@@ -235,30 +260,31 @@ PLANTED = {
 
 @pytest.mark.parametrize("miss", list(PLANTED))
 def test_planted_miss_raises_its_witness_after_one_construction(monkeypatch, miss):
-    # on the doubled chain at delta = 1/10, a placement planted to miss one
+    # on the doubled chain at delta = 1/10, a snapshot planted to miss one
     # exact check (v0.0 at 1.5 delta; v2.0, or both lifted fragments,
-    # mirrored below e1) is not shrunk or retried at a smaller radius: the
-    # one construction's witness is the error's
+    # mirrored below e1, which lies on y = 0) is not shrunk or retried at a
+    # smaller radius: the one construction's witness is the error's
     module = importlib.import_module("linkfold.perturb")
-    place = module._float_displacements
+    place = module._snapshot
     radii = []
 
-    def planted(linkage, configuration, psi_map, da):
-        radii.append(da)
-        disp = place(linkage, configuration, psi_map, da)
+    def planted(prep, delta):
+        radii.append(delta)
+        snapshot, max_d2 = place(prep, delta)
         if miss == "disk":
-            disp["v0", 0] = (1.5 * da, 0.0)
-        for key in {"touch": [("v2", 0)], "sign": [("v1", 1), ("v2", 0)]}.get(miss, []):
-            x, y = disp[key]
-            disp[key] = (x, -y)
-        return disp
+            snapshot["v0.0"] = (3 * delta / 2, F(0))
+            max_d2 = max(max_d2, (3 * delta / 2) ** 2)
+        for key in {"touch": ["v2.0"], "sign": ["v1.1", "v2.0"]}.get(miss, []):
+            x, y = snapshot[key]
+            snapshot[key] = (x, -y)
+        return snapshot, max_d2
 
-    monkeypatch.setattr(module, "_float_displacements", planted)
+    monkeypatch.setattr(module, "_snapshot", planted)
     L, C, A = doubled_chain()
     with pytest.raises(PerturbationError, match="^no admissible perturbation") as caught:
         perturb(L, C, A, F(1, 10))
     assert caught.value.offending == PLANTED[miss]
-    assert radii == [0.1]
+    assert radii == [F(1, 10)]
 
 
 def test_perturb_offsets_bounded():
