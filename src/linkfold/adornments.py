@@ -237,8 +237,8 @@ def adorned_chain_to_linkage(chain: AdornedChain) -> tuple[Linkage, Configuratio
     """
     if not chain.adornments:
         raise AdornmentError("empty adorned chain")
-    for a in chain.adornments:
-        validate_adornment(a)
+    # triangulate validates each polygon, before the bases are compared
+    triangles = [triangulate(a) for a in chain.adornments]
     for a, b in zip(chain.adornments, chain.adornments[1:]):
         if a.base_points()[1] != b.base_points()[0]:
             raise AdornmentError("consecutive bases do not share an endpoint")
@@ -260,8 +260,8 @@ def adorned_chain_to_linkage(chain: AdornedChain) -> tuple[Linkage, Configuratio
         seen.add(key)
         bars.append(key)
 
-    for a in chain.adornments:
-        for t0, t1, t2 in triangulate(a):
+    for a, tris in zip(chain.adornments, triangles):
+        for t0, t1, t2 in tris:
             add(t0, t1)
             add(t1, t2)
             add(t2, t0)

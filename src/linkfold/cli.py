@@ -35,7 +35,7 @@ from .errors import (
     LinkfoldError,
     ValidationFailure,
 )
-from .adornments import slender_failures, validate_adornment
+from .adornments import slender_failures
 from .linkage import Configuration, Linkage
 from .perturb import convergence_probe, perturb
 from .rationals import SqrtRational, format_rational, parse_rational
@@ -314,7 +314,6 @@ def _cmd_slender_check(args) -> int:
     rows = []
     all_ok = True
     for k, adornment in enumerate(doc.adornments):
-        validate_adornment(adornment)
         failures = slender_failures(adornment, mode=args.mode)
         ok = not failures
         all_ok = all_ok and ok

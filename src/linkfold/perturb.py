@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .annotations import AnnotationMatrix, ord_sign, ord_value
-from .corridors import CorridorOrder, corridor_order, corridors, delta_bound
+from .corridors import delta_bound
 from .errors import LinkageError, PerturbationError, ValidationFailure
-from .geometry import Point
+from .geometry import Point, canonical_line_direction, rot90ccw
 from .linkage import (
     Configuration,
     ExtensionMap,
@@ -49,7 +49,6 @@ class PerturbationResult:
     delta_used: Fraction
     slack: Fraction
     psi: dict[str, int]
-    corridor_orders: tuple[CorridorOrder, ...]
     attempts: int
     max_displacement_sq: Fraction
 
@@ -188,7 +187,6 @@ class _Prepared:
     configuration: Configuration
     annotation: AnnotationMatrix
     bound: Fraction
-    orders: tuple[CorridorOrder, ...]
     # edge id -> (layer h, corridor normal n, N = ceil(|n|))
     psi_map: dict[str, tuple[int, tuple[int, int], int]]
     grid: int  # (ceil(l_max) + 1) lcm(N), the delta-free factor of K
@@ -199,29 +197,25 @@ class _Prepared:
 def _prepare(
     linkage: Linkage, configuration: Configuration, annotation: AnnotationMatrix
 ) -> _Prepared:
-    """Validate once, bound the radius, and build the layering."""
+    """Validate once, bound the radius, and read the layering off the
+    verdict: each bar's height, and its line's left normal n."""
     verdict = validate(linkage, configuration, annotation)
     if not verdict.ok:
         raise ValidationFailure("configuration fails validation", verdict)
     bound = delta_bound(linkage, configuration)
 
-    cors = corridors(linkage, configuration)
-    orders = tuple(
-        corridor_order(c, annotation, linkage, configuration) for c in cors
-    )
+    line_of = configuration.lines().line_of
     psi_map = {}
-    for co in orders:
-        n = co.corridor.normal
-        n2 = n[0] * n[0] + n[1] * n[1]
-        N = math.isqrt(n2 - 1) + 1
-        for eid, h in co.psi.items():
-            psi_map[eid] = (h, n, N)
+    for i, h in verdict.heights.items():
+        n = rot90ccw(canonical_line_direction(line_of[i]))
+        N = math.isqrt(n[0] * n[0] + n[1] * n[1] - 1) + 1
+        psi_map[linkage.edges[i].id] = (h, n, N)
     reach = max((math.ceil(e.rest_length) for e in linkage.edges), default=0) + 1
     grid = reach * math.lcm(*(N for _, _, N in psi_map.values()))
 
     extended, _, emap = extend_split(linkage, configuration)
     return _Prepared(
-        linkage, configuration, annotation, bound, orders, psi_map, grid, extended, emap
+        linkage, configuration, annotation, bound, psi_map, grid, extended, emap
     )
 
 
@@ -255,7 +249,6 @@ def _attempt(prep: _Prepared, delta: Fraction) -> PerturbationResult:
         delta_used=delta,
         slack=eps,
         psi={eid: h for eid, (h, _, _) in prep.psi_map.items()},
-        corridor_orders=prep.orders,
         attempts=1,
         max_displacement_sq=max_d2,
     )
@@ -313,8 +306,6 @@ def convergence_probe(
     for a, b in zip(ds, ds[1:]):
         if not b < a:
             raise PerturbationError("delta sequence must be strictly decreasing")
-    if not ds:
-        return ProbeReport(delta_bound(linkage, configuration), (), True)
     prep = _prepare(linkage, configuration, annotation)
     entries = []
     for d in ds:

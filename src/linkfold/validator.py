@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .annotations import AnnotationMatrix, LineIndex, line_layering, strict_crossing
@@ -130,6 +130,8 @@ class CheckReport:
 class Verdict:
     ok: bool
     checks: tuple[CheckReport, ...]
+    # edge index -> layer height on its line, 0 at the bottom; empty unless ok
+    heights: dict[int, int] = field(default_factory=dict, hash=False)
 
     def report(self, name: str) -> CheckReport:
         for c in self.checks:
@@ -208,6 +210,7 @@ def check_well_annotated(
 class WellOrderResult:
     report: CheckReport
     orders: tuple[tuple[int, ...], ...]
+    heights: dict[int, int] = field(default_factory=dict, hash=False)  # empty if failed
 
 
 def _beats(annotation: AnnotationMatrix, ia: Inbound, ib: Inbound) -> bool:
@@ -224,8 +227,9 @@ def check_well_ordered(
     The germs at one entrance are bars covering the next stretch of one
     line, all with one sign of dir_flag times orientation along the line.
     So each line is layered once (line_layering), and an entrance lists
-    its germs by layer height times that sign. If some line has no
-    layering, its entrances are scanned in view order for a witness.
+    its germs by layer height times that sign, and the heights are
+    returned with the orders. If some line has no layering, its
+    entrances are scanned in view order for a witness.
     """
     index = configuration.lines()
     layerings = {line: line_layering(index, annotation, line) for line in index.bars}
@@ -243,7 +247,9 @@ def check_well_ordered(
                 sorted(idxs, key=lambda k: up * height[view.inbounds[k].edge_index])
             )
         all_orders.append(tuple(order))
-    return WellOrderResult(CheckReport("well-ordered", "pass"), tuple(all_orders))
+    return WellOrderResult(
+        CheckReport("well-ordered", "pass"), tuple(all_orders), height
+    )
 
 
 def _first_fault(views, annotation, index: LineIndex, faulty: set) -> CheckReport:
@@ -378,4 +384,4 @@ def validate(
     r4 = check_microscopic(views, wo.orders)
     if r4.status == "fail":
         return bail([r1, r2, wo.report, r4])
-    return Verdict(True, (r1, r2, wo.report, r4))
+    return Verdict(True, (r1, r2, wo.report, r4), wo.heights)

@@ -299,6 +299,53 @@ MUTANTS = (
         (CORRIDORS + "test_corridors_match_cut_reference",),
     ),
     Mutant(
+        "perturb takes every height as 0",
+        "perturb.py",
+        "psi_map[linkage.edges[i].id] = (h, n, N)",
+        "psi_map[linkage.edges[i].id] = (0, n, N)",
+        (
+            "tests/test_perturb.py::test_perturbed_corpus_matches_reference",
+            "tests/test_perturb.py::test_perturb_at_radii_down_to_bound_times_1e_12",
+        ),
+    ),
+    Mutant(
+        "layer heights carried reversed",
+        "validator.py",
+        'CheckReport("well-ordered", "pass"), tuple(all_orders), height',
+        'CheckReport("well-ordered", "pass"), tuple(all_orders),'
+        " {i: -h for i, h in height.items()}",
+        (
+            VALIDATOR + "test_verdict_heights_are_the_corridor_layering",
+            "tests/test_perturb.py::test_perturbed_corpus_matches_reference",
+        ),
+    ),
+    Mutant(
+        "adorned chain bars from unvalidated polygons",
+        "adornments.py",
+        "validate_adornment(adornment)\n    pts = adornment.boundary\n    idx",
+        "pts = adornment.boundary\n    idx",
+        (
+            "tests/test_adornments.py::test_adorned_chain_validates_each_polygon_first",
+            "tests/test_adornments.py::test_adornments_validated_once_per_polygon",
+        ),
+    ),
+    Mutant(
+        "pass germs ordered after endpoint germs",
+        "validator.py",
+        "for _, pair in sorted(germs[img]) for ib in pair",
+        'for _, pair in sorted(germs[img], key=lambda g: (g[1][0].kind == "pass", g[0]))'
+        " for ib in pair",
+        (VALIDATOR + "test_magnified_views_match_scan_reference",),
+    ),
+    Mutant(
+        "eager lattice",
+        "linkage.py",
+        'f"placement violates the length band at epsilon={self.epsilon}"\n            )\n',
+        'f"placement violates the length band at epsilon={self.epsilon}"\n            )\n'
+        "        self.lattice()\n",
+        ("tests/test_linkage.py::test_contact_scans_build_the_lattice_lazily",),
+    ),
+    Mutant(
         "delta_bound renamed",
         "corridors.py",
         "def delta_bound(",

@@ -5,7 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import random_adorned_chain, reference_epsilon
+from helpers import count_calls, random_adorned_chain, reference_epsilon
+import linkfold.adornments
 from linkfold.adornments import (
     Adornment,
     AdornedChain,
@@ -241,6 +242,30 @@ def test_adorned_chain_errors():
         hyp = next(e.rest_length for e in L.edges if e.rest_length > s)
         assert 0 < s * s * 2 - hyp * hyp
         assert (hyp + F(1, 10**12)) ** 2 > s * s * 2
+
+
+# a self-crossing quadrilateral of positive signed area
+BOWTIE = Adornment(((0, 0), (4, 0), (0, 1), (1, 3)), (0, 1))
+
+
+def test_adorned_chain_validates_each_polygon_first():
+    with pytest.raises(AdornmentError, match="self-intersecting"):
+        validate_adornment(BOWTIE)
+    # a bad polygon raises before a base mismatch, wherever it sits
+    gap = Adornment(((3, 0), (5, 0), (4, 1)), (0, 1))
+    with pytest.raises(AdornmentError, match="self-intersecting"):
+        adorned_chain_to_linkage(AdornedChain((ISO, gap, BOWTIE)))
+    # a clockwise triangle ear-clips, yet never becomes bars
+    clockwise = Adornment(((2, 0), (3, 1), (4, 0)), (0, 2))
+    with pytest.raises(AdornmentError, match="counterclockwise"):
+        adorned_chain_to_linkage(AdornedChain((ISO, clockwise)))
+
+
+def test_adornments_validated_once_per_polygon(monkeypatch):
+    calls = count_calls(monkeypatch, linkfold.adornments, ["validate_adornment"])
+    chain = random_adorned_chain(random.Random(24), 5)
+    adorned_chain_to_linkage(chain)
+    assert calls["validate_adornment"] == 5
 
 
 def test_adorned_chain_slack_matches_reference():

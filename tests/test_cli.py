@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -18,7 +19,9 @@ from helpers import (
     cyclic_gadget,
     doubled_chain,
     interleave_gadget,
+    layer_entries,
     mk_linkage,
+    random_layered_fan,
     straight_chain,
 )
 from linkfold.adornments import Adornment
@@ -322,6 +325,32 @@ def test_sweep_and_render_validate_once(capsys, tmp_path, monkeypatch):
     assert calls["validate"] == 4
 
 
+def test_perturb_sweep_and_render_layer_each_line_once(capsys, tmp_path, monkeypatch):
+    # perturb reads the layer heights off validate's verdict: each line is
+    # layered once, inside validate, and no corridor is built
+    L, C, heights = random_layered_fan(random.Random(2401))
+    lines = len(C.lines().bars)
+    assert lines >= 2
+    text = write_document(
+        linkage=L, configuration=C, annotations=layer_entries(L, C, heights)
+    )
+    doc = write(tmp_path / "fan.json", text)
+    annotations = importlib.import_module("linkfold.annotations")
+    corridors = importlib.import_module("linkfold.corridors")
+    for argv in (
+        ("perturb", doc, "--delta", "1/1000"),
+        ("perturb", doc, "--delta", "1/1000", "--sweep", "3"),
+        ("render", doc, "--display-delta", "1/1000"),
+    ):
+        layered = count_calls(monkeypatch, annotations, ["line_layering"])
+        built = count_calls(monkeypatch, corridors, ["corridors", "corridor_order"])
+        code, _, _ = run(capsys, *argv)
+        monkeypatch.undo()
+        assert code == 0, argv
+        assert layered == {"line_layering": lines}, argv
+        assert built == {"corridors": 0, "corridor_order": 0}, argv
+
+
 def test_resolve_errors_name_the_entry(capsys, tmp_path):
     L, C, _ = doubled_chain()
     layer = SparseAnnotation("e1", "e2", layer=1)
@@ -586,6 +615,26 @@ def test_slender_check(capsys, tmp_path):
     code, _, err = run(capsys, "slender-check", empty)
     assert code == 1
     assert "$.adornments" in err
+
+    bowtie = Adornment(((0, 0), (4, 0), (0, 1), (1, 3)), (0, 1))
+    bad = write(tmp_path / "bad.json", write_document(adornments=(iso, bowtie)))
+    code, out, err = run(capsys, "slender-check", bad)
+    assert (code, out) == (1, "")
+    assert err.strip() == "error: boundary is self-intersecting"
+
+
+def test_slender_check_validates_each_polygon_once(capsys, tmp_path, monkeypatch):
+    iso = Adornment(((0, 0), (2, 0), (1, 1)), (0, 1))
+    square = Adornment(((0, 0), (1, 0), (1, 1), (0, 1)), (0, 1))
+    doc = write(
+        tmp_path / "three.json", write_document(adornments=(iso, square, iso))
+    )
+    adornments = importlib.import_module("linkfold.adornments")
+    calls = count_calls(monkeypatch, adornments, ["validate_adornment"])
+    for mode in ("closure", "interior"):
+        code, _, _ = run(capsys, "slender-check", doc, "--mode", mode)
+        assert code == 2
+    assert calls["validate_adornment"] == 6
 
 
 def test_render_cli(capsys, tmp_path):

@@ -407,6 +407,15 @@ def test_convergence_probe_certified_window():
                 assert abs(val) >= target - 4 * du
 
 
+def test_empty_probe_validates():
+    # no radius to probe still validates the input first
+    L, C, _ = doubled_chain()
+    zero = AnnotationMatrix.from_rows([[0, 0], [0, 0]])
+    for deltas in ([], [F(1, 10)]):
+        with pytest.raises(ValidationFailure):
+            convergence_probe(L, C, zero, deltas)
+
+
 def test_convergence_probe_argument_checks():
     L, C, A = doubled_chain()
     rep = convergence_probe(L, C, A, [])

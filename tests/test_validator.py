@@ -239,6 +239,34 @@ def test_corpus_gadgets_validate():
         assert all(c.status == "pass" for c in v.checks)
 
 
+def test_verdict_heights_are_the_corridor_layering():
+    # an ok verdict carries each positive bar's layer height, the psi of
+    # its corridor_order; a failing verdict carries none, even when only
+    # the microscopic check fails after the lines have layered
+    rng = random.Random(2409)
+    inputs = [(L, C, A) for _, L, C, A in perturbation_corpus()]
+    for k in range(12):
+        L, C, heights = random_layered_fan(rng) if k % 2 else random_layered_flat(
+            rng, rng.randint(2, 9)
+        )
+        inputs.append((L, C, annotation_from_layers(L, C, heights)))
+    seen_top = 0
+    for L, C, A in inputs:
+        v = validate(L, C, A)
+        assert v.ok
+        want = {
+            L.edge_index(eid): h
+            for c in corridors(L, C)
+            for eid, h in corridor_order(c, A, L, C).psi.items()
+        }
+        assert v.heights == want
+        seen_top = max(seen_top, *want.values())
+    assert seen_top >= 3
+    for L, C, A in (interleave_gadget(), cyclic_gadget()):
+        v = validate(L, C, A)
+        assert not v.ok and v.heights == {}
+
+
 def _interleave_oracle(seq):
     n = len(seq)
     for i in range(n):
@@ -341,7 +369,11 @@ def test_well_ordered_win_counts_match_ranked_verification():
         mutants = [mutated_annotation(rng, C, A, overlapping)[0] for _ in range(3)]
         for B in [A] + mutants:
             got = check_well_ordered(views, B, C)
-            assert got == reference_check_well_ordered(views, B)
+            want = reference_check_well_ordered(views, B)
+            # the reference ranks entrances only; heights are checked against
+            # corridor_order in test_verdict_heights_are_the_corridor_layering
+            assert (got.report, got.orders) == (want.report, want.orders)
+            assert got.report.status == "pass" or got.heights == {}
             outcomes[got.report.detail] = outcomes.get(got.report.detail, 0) + 1
     assert set(outcomes) == {
         "",
