@@ -21,7 +21,6 @@ from .geometry import (
     canonical_line_direction,
     cross,
     dot,
-    properly_cross,
     sign,
     sqnorm,
     vsub,
@@ -101,11 +100,6 @@ def overlap_length(e1: Segment, e2: Segment) -> SqrtRational:
     if hi <= lo:
         return SqrtRational(0)
     return SqrtRational(Fraction(hi - lo, scale), scale)
-
-
-def strict_crossing(e1: Segment, e2: Segment) -> bool:
-    """True iff the open interiors cross transversally."""
-    return properly_cross(e1[0], e1[1], e2[0], e2[1])
 
 
 class LineIndex:

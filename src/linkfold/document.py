@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .adornments import Adornment
@@ -89,11 +89,18 @@ def _check_keys(node: dict, allowed: set[str], path: str, strict: bool) -> None:
             raise DocumentError(f"unknown field {key!r}", f"{path}.{key}")
 
 
+def _list_section(root: dict, name: str) -> list:
+    node = root.get(name, [])
+    _expect(isinstance(node, list), f"{name} must be a list", f"$.{name}")
+    return node
+
+
 def parse_linkage_file(text: str, strict: bool = False) -> Document:
     """Parse a linkfold/1 document."""
     try:
         root = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested past the interpreter's limit
         raise DocumentError(f"invalid JSON: {exc}", "$") from None
     _expect(isinstance(root, dict), "document must be an object", "$")
     _check_keys(
@@ -123,7 +130,7 @@ def parse_linkage_file(text: str, strict: bool = False) -> Document:
     configuration = None
     if "vertices" in root or "edges" in root:
         _expect(isinstance(root.get("vertices"), list), "vertices must be a list", "$.vertices")
-        _expect(isinstance(root.get("edges", []), list), "edges must be a list", "$.edges")
+        edge_nodes = _list_section(root, "edges")
         vertex_ids = []
         coords: dict[str, Point] = {}
         with_coords = 0
@@ -147,7 +154,7 @@ def parse_linkage_file(text: str, strict: bool = False) -> Document:
             "$.vertices",
         )
         edges = []
-        for k, enode in enumerate(root.get("edges", [])):
+        for k, enode in enumerate(edge_nodes):
             path = f"$.edges[{k}]"
             _expect(isinstance(enode, dict), "edge must be an object", path)
             _check_keys(enode, {"id", "tail", "head", "length"}, path, strict)
@@ -173,7 +180,7 @@ def parse_linkage_file(text: str, strict: bool = False) -> Document:
                 raise DocumentError(str(exc), "$.vertices") from None
 
     annotations = []
-    for k, anode in enumerate(root.get("annotations", [])):
+    for k, anode in enumerate(_list_section(root, "annotations")):
         path = f"$.annotations[{k}]"
         _expect(isinstance(anode, dict), "annotation must be an object", path)
         _check_keys(anode, {"first", "second", "value", "layer"}, path, strict)
@@ -204,7 +211,7 @@ def parse_linkage_file(text: str, strict: bool = False) -> Document:
             )
 
     adornments = []
-    for k, gnode in enumerate(root.get("adornments", [])):
+    for k, gnode in enumerate(_list_section(root, "adornments")):
         path = f"$.adornments[{k}]"
         _expect(isinstance(gnode, dict), "adornment must be an object", path)
         _check_keys(gnode, {"boundary", "base"}, path, strict)
@@ -256,7 +263,7 @@ def parse_linkage_file(text: str, strict: bool = False) -> Document:
         )
 
     frames = []
-    for k, fnode in enumerate(root.get("frames", [])):
+    for k, fnode in enumerate(_list_section(root, "frames")):
         path = f"$.frames[{k}]"
         _expect(isinstance(fnode, dict), "frame must be an object", path)
         _check_keys(fnode, {"t", "placement"}, path, strict)

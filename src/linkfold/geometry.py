@@ -16,10 +16,6 @@ Point = tuple[Fraction, Fraction]
 Vec = tuple[Fraction, Fraction]
 
 
-def pt(x, y) -> Point:
-    return (Fraction(x), Fraction(y))
-
-
 def vsub(a: Point, b: Point) -> Vec:
     return (a[0] - b[0], a[1] - b[1])
 

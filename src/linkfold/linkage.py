@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import LinkageError
 from .geometry import (
@@ -284,9 +284,6 @@ class MergedVertexPartition:
 
     classes: tuple[tuple[str, ...], ...]
     class_of: dict[str, int]
-
-    def location(self, configuration: Configuration, class_index: int) -> Point:
-        return configuration.placement[self.classes[class_index][0]]
 
 
 def merged_vertex_partition(linkage: Linkage) -> MergedVertexPartition:

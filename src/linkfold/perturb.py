@@ -69,8 +69,9 @@ def _snapshot(prep: _Prepared, delta: Fraction) -> tuple[dict[str, Point], Fract
     but the mean centres below. A positive-bar fragment sits at A + s d,
     with A = delta^2 h n / N normal to the bar vector d, so
     |A + s d|^2 = |A|^2 + s^2 |d|^2 and the largest s = m/K inside the
-    disk takes one isqrt. K = q 2^40 (ceil(l_max) + 1) lcm(N) keeps the
-    inward rounding below delta 2^-40 for every bar. A zero-length
+    disk takes one isqrt. K = q 2^40 (ceil(l_max) + 1) lcm(N), the lcm
+    over the raised bars (h != 0) only, keeps the inward rounding below
+    delta 2^-40 for every bar, and makes every offset exact. A zero-length
     cluster's centre is the exact mean exit of its raised bars; without
     them it lies 0.45 delta along the sum of its exits, or along a
     golden-angle direction when that sum is zero, as an isolated vertex
@@ -189,7 +190,7 @@ class _Prepared:
     bound: Fraction
     # edge id -> (layer h, corridor normal n, N = ceil(|n|))
     psi_map: dict[str, tuple[int, tuple[int, int], int]]
-    grid: int  # (ceil(l_max) + 1) lcm(N), the delta-free factor of K
+    grid: int  # (ceil(l_max) + 1) lcm(N | h != 0), the delta-free factor of K
     extended: Linkage
     emap: ExtensionMap
 
@@ -211,7 +212,8 @@ def _prepare(
         N = math.isqrt(n[0] * n[0] + n[1] * n[1] - 1) + 1
         psi_map[linkage.edges[i].id] = (h, n, N)
     reach = max((math.ceil(e.rest_length) for e in linkage.edges), default=0) + 1
-    grid = reach * math.lcm(*(N for _, _, N in psi_map.values()))
+    # a bar at height 0 gets no offset, so its N never divides one
+    grid = reach * math.lcm(*(N for h, _, N in psi_map.values() if h))
 
     extended, _, emap = extend_split(linkage, configuration)
     return _Prepared(

@@ -2,8 +2,8 @@
 
 Every length-like quantity in the package is either a Fraction or a
 SqrtRational (a rational multiple of one square root). Keeping the
-radicand explicit lets overlap measurements on a shared supporting line
-be added, compared, and signed exactly.
+radicand explicit lets an overlap length on a line whose direction has
+no rational length be printed, compared and read back exactly.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-Rat = Fraction
 Scalar = Union[int, Fraction]
 
 _DEC_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$")
@@ -60,12 +59,12 @@ def format_rational(value: Fraction) -> str:
 
 def exact_sqrt(value: Scalar) -> Fraction | None:
     """Square root of a nonnegative rational, if it is itself rational."""
-    f = Fraction(value)
-    if f < 0:
+    f = value if type(value) is Fraction else Fraction(value)
+    n, d = f.numerator, f.denominator
+    if n < 0:
         raise ValueError("negative radicand")
-    rn = math.isqrt(f.numerator)
-    rd = math.isqrt(f.denominator)
-    if rn * rn == f.numerator and rd * rd == f.denominator:
+    rn, rd = math.isqrt(n), math.isqrt(d)
+    if rn * rn == n and rd * rd == d:
         return Fraction(rn, rd)
     return None
 
@@ -105,9 +104,11 @@ class SqrtRational:
 
     Normalization folds a radicand that is a perfect square as a whole
     into the coefficient (radicand 1) and keeps any other radicand as
-    given. Equality, order and hashing go by value, so 2*sqrt(8) and
-    4*sqrt(2) compare equal and hash alike, yet keep their own fields and
-    print differently. Zero is always stored as (0, 0).
+    given. Equality and hashing go by value, so 2*sqrt(8) and 4*sqrt(2)
+    compare equal and hash alike, yet keep their own fields and print
+    differently. Zero is always stored as (0, 0). The class carries no
+    arithmetic: the library decides signs and magnitudes on integers and
+    builds a SqrtRational only to print or return a value.
     """
 
     coeff: Fraction
@@ -120,27 +121,12 @@ class SqrtRational:
             raise ValueError("negative radicand")
         if not c or not r:
             c, r = Fraction(0), Fraction(0)
-        else:
-            rn = math.isqrt(r.numerator)
-            rd = math.isqrt(r.denominator)
-            if rn * rn == r.numerator and rd * rd == r.denominator:
-                c, r = c * Fraction(rn, rd), Fraction(1)
+        elif (root := exact_sqrt(r)) is not None:
+            c, r = c * root, Fraction(1)
         object.__setattr__(self, "coeff", c)
         object.__setattr__(self, "radicand", r)
 
-    @classmethod
-    def _normal(cls, coeff: Fraction, radicand: Fraction) -> "SqrtRational":
-        """Value with fields that are already normal, stored as given.
-
-        The caller guarantees what __init__ would produce: Fractions,
-        (0, 0) for zero, and a radicand that is 1 or no perfect square.
-        """
-        v = object.__new__(cls)
-        object.__setattr__(v, "coeff", coeff)
-        object.__setattr__(v, "radicand", radicand)
-        return v
-
-    # (sign, signed square) is a total order key across representations
+    # (sign, signed square) identifies the value across representations
     def _key(self) -> tuple[int, Fraction]:
         s = (self.coeff > 0) - (self.coeff < 0)
         return s, s * self.coeff * self.coeff * (self.radicand or 1)
@@ -165,39 +151,6 @@ class SqrtRational:
     def __float__(self) -> float:
         return float(self.coeff) * math.sqrt(float(self.radicand or 1))
 
-    def __neg__(self) -> "SqrtRational":
-        return SqrtRational._normal(-self.coeff, self.radicand)
-
-    def __abs__(self) -> "SqrtRational":
-        return SqrtRational._normal(abs(self.coeff), self.radicand)
-
-    def __add__(self, other: "SqrtRational") -> "SqrtRational":
-        if not isinstance(other, SqrtRational):
-            return NotImplemented
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        if self.radicand == other.radicand:
-            return SqrtRational(self.coeff + other.coeff, self.radicand)
-        ratio = exact_sqrt(other.radicand / self.radicand)
-        if ratio is None:
-            raise ValueError("cannot add surds over incommensurable radicands")
-        return SqrtRational(self.coeff + other.coeff * ratio, self.radicand)
-
-    def __sub__(self, other: "SqrtRational") -> "SqrtRational":
-        if not isinstance(other, SqrtRational):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, factor: Scalar) -> "SqrtRational":
-        # a nonzero factor keeps the radicand normal
-        if not isinstance(factor, (int, Fraction)):
-            factor = Fraction(factor)
-        if factor == 0:
-            return SqrtRational(0)
-        return SqrtRational._normal(self.coeff * factor, self.radicand)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, SqrtRational):
             # zero is (0, 0), so equal radicands compare by coefficient
@@ -210,37 +163,6 @@ class SqrtRational:
 
     def __hash__(self) -> int:
         return hash(("SqrtRational", *self._key()))
-
-    def _cmp_key(self, other: object) -> tuple | None:
-        if isinstance(other, SqrtRational):
-            return other._key()
-        if isinstance(other, (int, Fraction)):
-            return SqrtRational(other)._key()
-        return None
-
-    def __lt__(self, other: object) -> bool:
-        k = self._cmp_key(other)
-        if k is None:
-            return NotImplemented
-        return self._key() < k
-
-    def __le__(self, other: object) -> bool:
-        k = self._cmp_key(other)
-        if k is None:
-            return NotImplemented
-        return self._key() <= k
-
-    def __gt__(self, other: object) -> bool:
-        k = self._cmp_key(other)
-        if k is None:
-            return NotImplemented
-        return self._key() > k
-
-    def __ge__(self, other: object) -> bool:
-        k = self._cmp_key(other)
-        if k is None:
-            return NotImplemented
-        return self._key() >= k
 
     def __repr__(self) -> str:
         if self.is_rational:

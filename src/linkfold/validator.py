@@ -14,9 +14,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .annotations import AnnotationMatrix, LineIndex, line_layering, strict_crossing
+from .annotations import AnnotationMatrix, LineIndex, line_layering
 from .errors import AnnotationError
-from .geometry import angle_descending_key, box_pairs, primitive_direction, vsub
+from .geometry import angle_descending_key, box_pairs, primitive_direction, properly_cross, vsub
 from .linkage import (
     Configuration,
     Linkage,
@@ -153,7 +153,7 @@ def check_macroscopic(linkage: Linkage, configuration: Configuration) -> CheckRe
     for i, j in box_pairs(segs):
         if lines[i] is None or lines[j] is None or lines[i] == lines[j]:
             continue
-        if strict_crossing(segs[i], segs[j]):
+        if properly_cross(*segs[i], *segs[j]):
             return CheckReport(
                 "macroscopic",
                 "fail",

@@ -21,7 +21,6 @@ from linkfold.annotations import (
     annotate,
     ord_value,
     overlap_length,
-    strict_crossing,
 )
 from linkfold.corridors import Corridor, CorridorOrder, CorridorSegment
 from linkfold.geometry import (
@@ -116,7 +115,7 @@ def annotation_from_layers(linkage, configuration, heights):
                 raise ValueError("overlapping bars need distinct layers")
             d = canonical_line_direction(canonical_line(*segs[i]))
             orient_i = sign(dot(vsub(segs[i][1], segs[i][0]), d))
-            row.append(ov.scale(orient_i * (1 if hj > hi else -1)))
+            row.append(SqrtRational(ov.coeff * orient_i * (1 if hj > hi else -1), ov.radicand))
         rows.append(tuple(row))
     return AnnotationMatrix(tuple(rows))
 
@@ -375,7 +374,7 @@ def mutated_annotation(rng: random.Random, C, A, overlapping):
         i, j = rng.sample(range(A.n), 2)
         pair = (i, j)
     v = A.value(*pair)
-    new = rng.choice([-v, v.scale(2), v.scale(0)])
+    new = rng.choice([SqrtRational(k * v.coeff, v.radicand) for k in (-1, 2, 0)])
     return AnnotationMatrix.from_configuration(C, {**A.overrides, pair: new}), pair
 
 
@@ -462,6 +461,31 @@ def straight_chain(*lengths):
     for k, l in enumerate(lengths):
         pos += F(l)
         coords[f"v{k + 1}"] = (pos, 0)
+    return L, conf(L, coords)
+
+
+def pythagorean_chain(n: int):
+    """A nontouching chain of n bars along distinct primitive Pythagorean
+    directions (a, b, c), all with a, b > 0, in increasing angle.
+
+    x grows along the chain, so bars that are not neighbours lie over
+    disjoint x ranges, and no two neighbours are collinear. Each bar is
+    the hypotenuse c of its triple, so every length is an integer.
+    """
+    dirs, m = set(), 2
+    while len(dirs) < n:
+        for k in range(1 + m % 2, m, 2):
+            if math.gcd(m, k) == 1:
+                a, b, c = m * m - k * k, 2 * m * k, m * m + k * k
+                dirs.update(((a, b, c), (b, a, c)))
+        m += 1
+    specs, coords = [], {"v0": (0, 0)}
+    x = y = 0
+    for k, (a, b, c) in enumerate(sorted(dirs, key=lambda d: F(d[1], d[0]))[:n]):
+        specs.append((f"e{k}", f"v{k}", f"v{k + 1}", c))
+        x, y = x + a, y + b
+        coords[f"v{k + 1}"] = (x, y)
+    L = mk_linkage(specs)
     return L, conf(L, coords)
 
 
@@ -712,7 +736,7 @@ def reference_check_macroscopic(linkage, configuration):
     n = len(segs)
     for i in range(n):
         for j in range(i + 1, n):
-            if strict_crossing(segs[i], segs[j]):
+            if properly_cross(*segs[i], *segs[j]):
                 return CheckReport(
                     "macroscopic",
                     "fail",
@@ -836,7 +860,7 @@ def reference_sign_check(prep, snapshot, da):
         got = reference_ord_value(new_segs[i], new_segs[j]).sign()
         if got == want:
             continue
-        if got == 0 and ov < 4 * da:
+        if got == 0 and ov.coeff**2 * ov.radicand < 16 * da * da:
             continue
         return ("sign flipped", linkage.edges[i].id, linkage.edges[j].id)
     return None
@@ -1284,10 +1308,10 @@ def overlapping_pairs(segs):
     if D != 1:
         for key, v in out.items():
             if v.radicand == 1:
-                out[key] = SqrtRational._normal(v.coeff / D, v.radicand)
+                out[key] = SqrtRational(v.coeff / D, v.radicand)
             else:
                 r = Fraction(v.radicand.numerator, D * D)
-                out[key] = SqrtRational._normal(v.coeff, r)
+                out[key] = SqrtRational(v.coeff, r)
     return out
 
 
@@ -1305,8 +1329,8 @@ def reference_line_overlaps(segs, D):
         if D == 1:
             return v
         if v.radicand == 1:
-            return SqrtRational._normal(v.coeff / D, v.radicand)
-        return SqrtRational._normal(v.coeff, Fraction(v.radicand.numerator, D * D))
+            return SqrtRational(v.coeff / D, v.radicand)
+        return SqrtRational(v.coeff, Fraction(v.radicand.numerator, D * D))
 
     overlaps = {}
     for group in bars_by_line(segs).values():
@@ -1318,7 +1342,7 @@ def reference_line_overlaps(segs, D):
                 overlaps[i, j] = unscale(v)
                 if v.radicand != 1:
                     gi, gj = math.gcd(*vsub(*segs[i])), math.gcd(*vsub(*segs[j]))
-                    v = SqrtRational._normal(v.coeff * gi / gj, v.radicand * gj**2 / gi**2)
+                    v = SqrtRational(v.coeff * gi / gj, v.radicand * gj**2 / gi**2)
                 overlaps[j, i] = unscale(v)
             active.append((hi, j))
     return dict(sorted(overlaps.items()))
@@ -1358,10 +1382,12 @@ def reference_resolve_annotations(linkage, configuration, sparse):
                 f"{entry.first!r}/{entry.second!r}",
                 path,
             )
-        values[(i, j)] = overlaps[(i, j)].scale(entry.layer)
+        v = overlaps[(i, j)]
+        values[(i, j)] = SqrtRational(v.coeff * entry.layer, v.radicand)
         (ai, bi), (aj, bj) = isegs[i], isegs[j]
         flip = -sign(dot(vsub(bi, ai), vsub(bj, aj)))
-        fills.append((j, i, overlaps[(j, i)].scale(flip * entry.layer)))
+        v = overlaps[(j, i)]
+        fills.append((j, i, SqrtRational(v.coeff * flip * entry.layer, v.radicand)))
     for j, i, val in fills:
         if (j, i) not in explicit:
             values[(j, i)] = val
@@ -1409,7 +1435,7 @@ def reference_check_well_annotated(linkage, configuration, annotation):
             a = annotation.value(i, j)
             ov = overlap_length(segs[i], segs[j])
             if ov.sign() > 0:
-                if a != ov and a != -ov:
+                if a not in (ov, SqrtRational(-ov.coeff, ov.radicand)):
                     return CheckReport(
                         "well-annotated",
                         "fail",

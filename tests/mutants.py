@@ -179,6 +179,20 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "grid lcm over every bar",
+        "perturb.py",
+        "math.lcm(*(N for h, _, N in psi_map.values() if h))",
+        "math.lcm(*(N for h, _, N in psi_map.values()))",
+        ("tests/test_perturb.py::test_grid_takes_the_lcm_over_raised_bars_only",),
+    ),
+    Mutant(
+        "grid lcm over the bars at height 0",
+        "perturb.py",
+        "math.lcm(*(N for h, _, N in psi_map.values() if h))",
+        "math.lcm(*(N for h, _, N in psi_map.values() if not h))",
+        ("tests/test_perturb.py::test_grid_takes_the_lcm_over_raised_bars_only",),
+    ),
+    Mutant(
         "perturb disk exit rounded outward",
         "perturb.py",
         "m = math.isqrt(K * K * room // (v[0] * v[0] + v[1] * v[1]))",

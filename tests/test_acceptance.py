@@ -101,7 +101,7 @@ def test_criterion_01_order_function(capsys):
                 up = tuple((p[0], p[1] + h) for p in e2)
                 assert ord_value(e1, up) == ov
                 down = tuple((p[0], p[1] - h) for p in e2)
-                assert ord_value(e1, down) == -ov
+                assert ord_value(e1, down) == SqrtRational(-ov.coeff, ov.radicand)
 
         # small rotations move the value only slightly, and less as the
         # rotation shrinks
@@ -208,12 +208,14 @@ def test_criterion_05_annotation_limit(capsys):
                         assert ov.is_rational, name
                         ovf = ov.as_fraction()
                         ei, ej = res.linkage.edges[i], res.linkage.edges[j]
-                        val = abs(ord_value(
+                        val = ord_value(
                             (P2[ei.tail], P2[ei.head]),
                             (P2[ej.tail], P2[ej.head]),
-                        ))
-                        assert ovf - 4 * d <= val <= ovf + 4 * d, (name, k)
-                        assert ovf - tight <= val <= ovf + tight, (name, k)
+                        )
+                        val_sq = val.coeff**2 * val.radicand  # |val|^2, exactly
+                        for slack in (4 * d, tight):
+                            low, high = max(ovf - slack, 0), ovf + slack
+                            assert low**2 <= val_sq <= high**2, (name, k)
 
 
 def test_criterion_06_canonical_closed(capsys):

@@ -39,7 +39,6 @@ from linkfold.annotations import (
     ord_sign,
     ord_value,
     overlap_length,
-    strict_crossing,
 )
 from linkfold.document import (
     SparseAnnotation,
@@ -48,7 +47,7 @@ from linkfold.document import (
     resolve_annotations,
 )
 from linkfold.errors import AnnotationError, DocumentError, LinkageError
-from linkfold.geometry import canonical_line, lattice
+from linkfold.geometry import canonical_line, lattice, properly_cross
 from linkfold.linkage import Configuration
 from linkfold.rationals import SqrtRational
 from linkfold.validator import check_well_annotated, validate
@@ -68,9 +67,9 @@ def rseg(rng):
             return (a, b)
 
 
-def seg_len(seg):
+def seg_len_sq(seg):
     d = (seg[1][0] - seg[0][0], seg[1][1] - seg[0][1])
-    return SqrtRational(1, d[0] * d[0] + d[1] * d[1])
+    return d[0] * d[0] + d[1] * d[1]
 
 
 def test_ord_of_edge_with_itself_is_zero():
@@ -105,7 +104,8 @@ def test_ord_bounded_by_first_length():
     rng = random.Random(12)
     for _ in range(500):
         e1, e2 = rseg(rng), rseg(rng)
-        assert abs(ord_value(e1, e2)) <= seg_len(e1)
+        v = ord_value(e1, e2)
+        assert v.coeff**2 * v.radicand <= seg_len_sq(e1)  # |v|^2, exactly
 
 
 def test_ord_additive_under_subdivision():
@@ -116,8 +116,9 @@ def test_ord_additive_under_subdivision():
         m = (e2[0][0] + t * (e2[1][0] - e2[0][0]),
              e2[0][1] + t * (e2[1][1] - e2[0][1]))
         whole = ord_value(e1, e2)
-        parts = ord_value(e1, (e2[0], m)) + ord_value(e1, (m, e2[1]))
-        assert whole == parts
+        a, b = ord_value(e1, (e2[0], m)), ord_value(e1, (m, e2[1]))
+        # every nonzero value on e1 has the radicand |e1|^2, folded alike
+        assert whole == SqrtRational(a.coeff + b.coeff, a.radicand or b.radicand)
 
 
 def test_ord_orientation_rules():
@@ -128,14 +129,14 @@ def test_ord_orientation_rules():
         # the measured side does not care which way e2 runs
         assert ord_value(e1, (e2[1], e2[0])) == v
         # reversing e1 swaps left and right
-        assert ord_value((e1[1], e1[0]), e2) == -v
+        assert ord_value((e1[1], e1[0]), e2) == SqrtRational(-v.coeff, v.radicand)
 
 
 def test_ord_symmetric_crossing_cancels():
     e1 = ((F(0), F(0)), (F(2), F(0)))
     e2 = ((F(0), F(-1)), (F(2), F(1)))
     assert ord_value(e1, e2).is_zero
-    assert strict_crossing(e1, e2)
+    assert properly_cross(*e1, *e2)
 
 
 def test_ord_collinear_is_zero():
@@ -171,7 +172,7 @@ def test_offset_limit_matches_overlap_exactly():
             up = tuple((p[0], p[1] + h) for p in e2)
             down = tuple((p[0], p[1] - h) for p in e2)
             assert ord_value(e1, up) == ov
-            assert ord_value(e1, down) == -ov
+            assert ord_value(e1, down) == SqrtRational(-ov.coeff, ov.radicand)
 
 
 def test_ord_perpendicular_projects_to_zero():
@@ -479,11 +480,11 @@ def _random_entries(rng, L, C):
         if kind <= 2:
             entries.append(SparseAnnotation(ids[i], ids[j], layer=rng.choice((1, -1))))
             continue
-        v = ov.scale(rng.choice((1, -1)))
+        v = SqrtRational(ov.coeff * rng.choice((1, -1)), ov.radicand)
         if kind == 4 and v.radicand != 1:
             v = SqrtRational(v.coeff / 2, v.radicand * 4)  # same value, other fields
         elif kind == 5:
-            v = rng.choice((v.scale(2), v.scale(F(1, 3)), SqrtRational(0), -v.scale(3)))
+            v = rng.choice([SqrtRational(v.coeff * k, v.radicand) for k in (2, F(1, 3), 0, -3)])
         elif kind == 6:
             v = SqrtRational(v.coeff, v.radicand * 2)
         entries.append(SparseAnnotation(ids[i], ids[j], value=v))
@@ -492,7 +493,8 @@ def _random_entries(rng, L, C):
             i, j = rng.sample(range(len(ids)), 2)
             if (i, j) not in overlaps:
                 v = reference_ord_value(segs[i], segs[j])
-                v = v if rng.random() < 0.5 else v + SqrtRational(F(1, 5))
+                if rng.random() >= 0.5:  # off by 1/5 in the coefficient
+                    v = SqrtRational(v.coeff + F(1, 5), v.radicand or 1)
                 entries.append(SparseAnnotation(ids[i], ids[j], value=v))
             if rng.random() < 0.1:  # rejected unless the pair overlaps
                 entries.append(SparseAnnotation(ids[i], ids[j], layer=1))
@@ -573,18 +575,13 @@ def test_resolve_and_validate_build_no_sqrt_rational(monkeypatch):
         heights = {e.id: k for k, e in enumerate(L.edges)}
         entries = layer_entries(L, C, heights)
         built = []
-        init, normal = SqrtRational.__init__, SqrtRational._normal.__func__
+        init = SqrtRational.__init__
 
         def counted_init(self, *args):
             built.append(args)
             init(self, *args)
 
-        def counted_normal(cls, *args):
-            built.append(args)
-            return normal(cls, *args)
-
         monkeypatch.setattr(SqrtRational, "__init__", counted_init)
-        monkeypatch.setattr(SqrtRational, "_normal", classmethod(counted_normal))
         A = resolve_annotations(L, C, entries)
         assert validate(L, C, A).ok
         assert built == []

@@ -195,6 +195,27 @@ def test_input_errors(capsys, tmp_path):
     assert code == 1 and err.startswith("error: $.edges[0].id: ")
 
 
+def test_deeply_nested_json_is_a_document_error(capsys, tmp_path):
+    # json.loads recurses per nesting level; past the interpreter's limit
+    # the document is invalid JSON, reported at $ with exit 1
+    deep = write(tmp_path / "deep.json", "[" * 200_000)
+    for argv in (
+        ("validate", deep),
+        ("annotate", deep),
+        ("corridors", deep),
+        ("perturb", deep, "--delta", "1/10"),
+        ("canonical", deep),
+        ("interpolate", deep, deep),
+        ("emit-sa", deep),
+        ("slender-check", deep),
+        ("render", deep),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("error: $: invalid JSON: maximum recursion depth"), argv
+        assert err.count("\n") == 1, argv
+
+
 def test_strict_flag(capsys, tmp_path):
     doc = valid_doubled_doc(tmp_path)
     loose = json.loads(open(doc).read())

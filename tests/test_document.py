@@ -130,6 +130,21 @@ def test_parse_structural_errors():
             assert exc.value.path == f"$.edges[0].{field}"
 
 
+@pytest.mark.parametrize("section", ["annotations", "adornments", "frames"])
+@pytest.mark.parametrize(
+    "node", [5, None, {"first": "e1"}, "e1"], ids=["number", "null", "object", "string"]
+)
+def test_parse_sections_must_be_lists(section, node):
+    # a number or null used to raise TypeError, an object or a string
+    # a misleading error at the section's first element
+    doc = json.loads(MINIMAL)
+    doc[section] = node
+    with pytest.raises(DocumentError) as exc:
+        parse_linkage_file(json.dumps(doc))
+    assert str(exc.value) == f"$.{section}: {section} must be a list"
+    assert exc.value.path == f"$.{section}"
+
+
 def test_parse_epsilon_and_membership():
     text = json.dumps(
         {

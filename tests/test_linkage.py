@@ -311,7 +311,7 @@ def test_merged_partition_matches_bfs_oracle():
         for i, c in enumerate(part.classes):
             pts = {C.placement[v] for v in c}
             assert len(pts) == 1
-            assert part.location(C, i) in pts
+            assert C.placement[part.classes[i][0]] in pts
 
 
 def test_nontouching_examples():

@@ -19,6 +19,7 @@ from helpers import (
     layer_entries,
     layered_strip,
     perturbation_corpus,
+    pythagorean_chain,
     random_layered_fan,
     random_layered_flat,
     reference_is_nontouching,
@@ -32,6 +33,7 @@ from linkfold.errors import PerturbationError, ValidationFailure
 from linkfold.geometry import sqdist
 from linkfold.linkage import Configuration, is_nontouching, reduce, touch_witness
 from linkfold.perturb import convergence_probe, perturb
+from linkfold.rationals import SqrtRational
 
 F = Fraction
 
@@ -210,7 +212,8 @@ def test_sign_check_matches_fraction_reference_on_perturb_attempts(monkeypatch):
         rows = [list(row) for row in prep.annotation.entries]
         for i, j in prep.configuration.lines().steps:
             if flips.random() < 0.3:
-                rows[i][j] = -rows[i][j]
+                v = rows[i][j]
+                rows[i][j] = SqrtRational(-v.coeff, v.radicand)
         flipped = dataclasses.replace(prep, annotation=AnnotationMatrix.from_rows(rows))
         bad = sign_check(flipped, cdelta, da)
         assert bad == reference_sign_check(flipped, cdelta.placement, da)
@@ -285,6 +288,28 @@ def test_planted_miss_raises_its_witness_after_one_construction(monkeypatch, mis
         perturb(L, C, A, F(1, 10))
     assert caught.value.offending == PLANTED[miss]
     assert radii == [F(1, 10)]
+
+
+def test_grid_takes_the_lcm_over_raised_bars_only():
+    # a bar at height 0 gets no offset, so its N never enters the grid:
+    # a nontouching chain along n distinct directions keeps the grid at
+    # ceil(l_max) + 1, and every raised bar's N still divides the grid
+    module = importlib.import_module("linkfold.perturb")
+    for n in (1, 4, 16, 64, 256):
+        L, C = pythagorean_chain(n)
+        A = annotate(L, C)
+        prep = module._prepare(L, C, A)
+        assert len({normal for _, normal, _ in prep.psi_map.values()}) == n
+        assert {h for h, _, _ in prep.psi_map.values()} == {0}
+        assert prep.grid == math.ceil(max(e.rest_length for e in L.edges)) + 1, n
+    res = perturb(L, C, A, prep.bound / 2)
+    assert is_nontouching(res.linkage, res.configuration)
+    rng = random.Random(1414)
+    for _ in range(20):
+        L, C, heights = random_layered_fan(rng)
+        prep = module._prepare(L, C, annotation_from_layers(L, C, heights))
+        raised = [N for h, _, N in prep.psi_map.values() if h]
+        assert raised and all(prep.grid % N == 0 for N in raised)
 
 
 def test_perturb_offsets_bounded():
@@ -403,8 +428,9 @@ def test_convergence_probe_certified_window():
                 i, j = L.edge_index(ei), L.edge_index(ej)
                 ov = overlap_length(C.segment(L.edges[i]), C.segment(L.edges[j]))
                 target = ov.as_fraction()
-                assert abs(val) <= target + 4 * du
-                assert abs(val) >= target - 4 * du
+                val_sq = val.coeff**2 * val.radicand  # |val|^2, exactly
+                assert val_sq <= (target + 4 * du) ** 2
+                assert val_sq >= max(target - 4 * du, 0) ** 2
 
 
 def test_empty_probe_validates():

@@ -1,7 +1,11 @@
-"""The Python examples in README.md run as written."""
+"""The Python examples in README.md run as written, and the names
+``linkfold`` exports, which its Library section imports, all resolve."""
 
 import re
+import types
 from pathlib import Path
+
+import linkfold
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -12,3 +16,17 @@ def test_readme_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def test_all_exports_resolve():
+    names = linkfold.__all__
+    assert names == sorted(set(names))
+    for name in names:
+        assert getattr(linkfold, name, None) is not None, name
+    # and every public non-module attribute is exported
+    public = {
+        name
+        for name, value in vars(linkfold).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(names)
