@@ -17,6 +17,7 @@ from fractions import Fraction
 from .errors import AdornmentError
 from .geometry import (
     Point,
+    box_pairs,
     cross,
     dot,
     on_closed_segment,
@@ -47,21 +48,6 @@ class Adornment:
         return self.boundary[self.base[0]], self.boundary[self.base[1]]
 
 
-def _point_in_polygon(p: Point, pts: tuple[Point, ...]) -> bool:
-    """Strict interior test by exact crossing count; p must be off the boundary."""
-    inside = False
-    for a, b in zip(pts, pts[1:] + pts[:1]):
-        if (a[0] > p[0]) != (b[0] > p[0]):
-            o = orient(a, b, p)
-            if b[0] > a[0]:
-                if o < 0:
-                    inside = not inside
-            else:
-                if o > 0:
-                    inside = not inside
-    return inside
-
-
 def validate_adornment(adornment: Adornment) -> None:
     pts = adornment.boundary
     n = len(pts)
@@ -75,40 +61,35 @@ def validate_adornment(adornment: Adornment) -> None:
         a, b, c = pts[k - 1], pts[k], pts[(k + 1) % n]
         if orient(a, b, c) == 0:
             raise AdornmentError(f"collinear boundary corner at index {k}")
-    for i in range(n):
-        a1, b1 = pts[i], pts[(i + 1) % n]
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            a2, b2 = pts[j], pts[(j + 1) % n]
-            if properly_cross(a1, b1, a2, b2):
-                raise AdornmentError("boundary is self-intersecting")
-            for w in (a2, b2):
-                if on_closed_segment(w, a1, b1):
-                    raise AdornmentError("boundary is self-touching")
-            for w in (a1, b1):
-                if on_closed_segment(w, a2, b2):
-                    raise AdornmentError("boundary is self-touching")
+    sides = [(pts[k], pts[(k + 1) % n]) for k in range(n)]
+    # sides whose boxes are disjoint neither cross nor touch, and the pairs
+    # come in ascending order, so the first error is the all-pairs one
+    for i, j in box_pairs(sides):
+        if (j + 1) % n == i or (i + 1) % n == j:
+            continue  # neighbours share a corner
+        (a1, b1), (a2, b2) = sides[i], sides[j]
+        if properly_cross(a1, b1, a2, b2):
+            raise AdornmentError("boundary is self-intersecting")
+        if any(on_closed_segment(w, a1, b1) for w in (a2, b2)) or any(
+            on_closed_segment(w, a2, b2) for w in (a1, b1)
+        ):
+            raise AdornmentError("boundary is self-touching")
     i, j = adornment.base
     if not (0 <= i < n and 0 <= j < n) or i == j:
         raise AdornmentError("base must name two distinct boundary vertices")
     if (i + 1) % n == j or (j + 1) % n == i:
         return  # base is a boundary edge
     p, q = pts[i], pts[j]
-    for k in range(n):
-        a, b = pts[k], pts[(k + 1) % n]
-        if properly_cross(p, q, a, b):
-            raise AdornmentError("base chord crosses the boundary")
-    for k in range(n):
-        if k in (i, j):
-            continue
-        if on_closed_segment(pts[k], p, q):
-            raise AdornmentError("base chord passes through a boundary vertex")
-    mid = (
-        (p[0] + q[0]) / 2,
-        (p[1] + q[1]) / 2,
-    )
-    if not _point_in_polygon(mid, pts):
+    if any(properly_cross(p, q, a, b) for a, b in sides):
+        raise AdornmentError("base chord crosses the boundary")
+    if any(on_closed_segment(pts[k], p, q) for k in range(n) if k not in (i, j)):
+        raise AdornmentError("base chord passes through a boundary vertex")
+    # the chord meets the boundary only at its ends, so it lies inside iff
+    # it leaves p into the interior angle there: into both side half-planes
+    # at a convex corner, into either one at a reflex corner
+    prev, nxt = pts[i - 1], pts[(i + 1) % n]
+    left, right = orient(prev, p, q) > 0, orient(p, nxt, q) > 0
+    if not ((left and right) if orient(prev, p, nxt) > 0 else (left or right)):
         raise AdornmentError("base chord lies outside the region")
 
 
@@ -135,10 +116,12 @@ def slender_failures(
     pts = adornment.boundary
     n = len(pts)
     p, q = adornment.base_points()
+    # once validated, the base's ends are the only boundary vertices on it
+    base = set(adornment.base)
     failures: list[tuple[int, str]] = []
     for k in range(n):
         v, w = pts[k], pts[(k + 1) % n]
-        if on_closed_segment(v, p, q) and on_closed_segment(w, p, q):
+        if {k, (k + 1) % n} == base:
             continue  # the base edge itself
         d = vsub(w, v)
         side_p = cross(d, vsub(p, v))  # positive = inward for CCW
@@ -159,9 +142,9 @@ def slender_failures(
     if mode == "closure":
         base_dir = vsub(q, p)
         for k in range(n):
-            x = pts[k]
-            if on_closed_segment(x, p, q):
+            if k in base:
                 continue
+            x = pts[k]
             prev, nxt = pts[(k - 1) % n], pts[(k + 1) % n]
             if orient(prev, x, nxt) <= 0:
                 continue  # reflex corners carry no normal cone

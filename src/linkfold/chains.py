@@ -265,10 +265,11 @@ def interpolation_frames(
     floor = max(conf_a.epsilon, conf_b.epsilon) or Fraction(1, 10**12)
     m = len(sa.vertices)
     turns = m if sa.kind == "closed" else m - 2  # open walks do not wrap
+    pairs = [(ea, lb.edges[lb.edge_index(ea.id)]) for ea in la.edges]
     frames = []
     for t in ts:
         edges = []
-        for ea, eb in zip(la.edges, lb.edges):
+        for ea, eb in pairs:
             rest = (1 - t) * ea.rest_length + t * eb.rest_length
             edges.append(type(ea)(ea.id, ea.tail, ea.head, rest))
         linkage = Linkage(la.vertices, tuple(edges))

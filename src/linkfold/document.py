@@ -131,7 +131,7 @@ def parse_linkage_file(text: str, strict: bool = False) -> Document:
     if "vertices" in root or "edges" in root:
         _expect(isinstance(root.get("vertices"), list), "vertices must be a list", "$.vertices")
         edge_nodes = _list_section(root, "edges")
-        vertex_ids = []
+        vertex_ids: dict[str, None] = {}  # ordered, and one lookup per id
         coords: dict[str, Point] = {}
         with_coords = 0
         for k, vnode in enumerate(root["vertices"]):
@@ -139,7 +139,9 @@ def parse_linkage_file(text: str, strict: bool = False) -> Document:
             _expect(isinstance(vnode, dict), "vertex must be an object", path)
             _check_keys(vnode, {"id", "x", "y"}, path, strict)
             _expect("id" in vnode and isinstance(vnode["id"], str), "vertex needs an id", path)
-            vertex_ids.append(vnode["id"])
+            if vnode["id"] in vertex_ids:
+                raise DocumentError("duplicate vertex ids", f"{path}.id")
+            vertex_ids[vnode["id"]] = None
             has_x, has_y = "x" in vnode, "y" in vnode
             _expect(has_x == has_y, "vertex needs both coordinates or neither", path)
             if has_x:
@@ -154,6 +156,7 @@ def parse_linkage_file(text: str, strict: bool = False) -> Document:
             "$.vertices",
         )
         edges = []
+        edge_ids: set[str] = set()
         for k, enode in enumerate(edge_nodes):
             path = f"$.edges[{k}]"
             _expect(isinstance(enode, dict), "edge must be an object", path)
@@ -169,10 +172,13 @@ def parse_linkage_file(text: str, strict: bool = False) -> Document:
                 edges.append(Edge(eid, tail, head, length))
             except LinkageError as exc:
                 raise DocumentError(str(exc), path) from None
-        try:
-            linkage = Linkage(tuple(vertex_ids), tuple(edges))
-        except LinkageError as exc:
-            raise DocumentError(str(exc), "$.edges") from None
+            if eid in edge_ids:
+                raise DocumentError("duplicate edge ids", f"{path}.id")
+            edge_ids.add(eid)
+            for end, v in (("tail", tail), ("head", head)):
+                if v not in vertex_ids:
+                    raise DocumentError(f"edge {eid}: dangling endpoint", f"{path}.{end}")
+        linkage = Linkage(tuple(vertex_ids), tuple(edges))
         if with_coords:
             try:
                 configuration = Configuration(linkage, coords, epsilon)

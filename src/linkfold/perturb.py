@@ -26,7 +26,14 @@ from fractions import Fraction
 from .annotations import AnnotationMatrix, ord_sign, ord_value
 from .corridors import delta_bound
 from .errors import LinkageError, PerturbationError, ValidationFailure
-from .geometry import Point, canonical_line_direction, rot90ccw
+from .geometry import (
+    Point,
+    canonical_line_direction,
+    cross,
+    in_open_segment,
+    rot90ccw,
+    vsub,
+)
 from .linkage import (
     Configuration,
     ExtensionMap,
@@ -92,10 +99,22 @@ def _snapshot(prep: _Prepared, delta: Fraction) -> tuple[dict[str, Point], Fract
     golden_count: dict[tuple[int, int], int] = {}
 
     def golden(home: tuple[int, int]) -> tuple[int, int]:
+        # a direction along a bar whose interior holds home would leave
+        # the fragment inside that bar, so such directions are skipped
+        at = (home[0] // scale, home[1] // scale)
+        along = [
+            vsub(images[e.head], images[e.tail])
+            for e in linkage.edges
+            if in_open_segment(at, images[e.tail], images[e.head])
+        ]
         k = golden_count.get(home, 0)
-        golden_count[home] = k + 1
-        ang = k * GOLDEN_ANGLE
-        return round(2**30 * math.cos(ang)), round(2**30 * math.sin(ang))
+        while True:
+            ang = k * GOLDEN_ANGLE
+            k += 1
+            g = round(2**30 * math.cos(ang)), round(2**30 * math.sin(ang))
+            if all(cross(g, d) for d in along):
+                golden_count[home] = k
+                return g
 
     def place(home: tuple[int, int], f: tuple[int, int]) -> Point:
         nonlocal best

@@ -31,10 +31,13 @@ from linkfold.geometry import (
     dot,
     in_open_segment,
     lattice,
+    on_closed_segment,
+    orient,
     point_on_line,
     primitive_direction,
     properly_cross,
     rot90ccw,
+    shoelace2,
     sign,
     sqdist,
     sqnorm,
@@ -42,7 +45,13 @@ from linkfold.geometry import (
 )
 from linkfold.document import SparseAnnotation, parse_linkage_file, resolve_annotations
 from linkfold.chains import ChainShape
-from linkfold.errors import ChainError, CorridorError, DocumentError, LinkageError
+from linkfold.errors import (
+    AdornmentError,
+    ChainError,
+    CorridorError,
+    DocumentError,
+    LinkageError,
+)
 from linkfold.linkage import (
     Configuration,
     DisjointSets,
@@ -632,6 +641,147 @@ def random_adorned_chain(rng: random.Random, m: int):
         triangles.append(Adornment(((x, F(0)), (x + w, F(0)), apex), (0, 1)))
         x += w
     return AdornedChain(tuple(triangles))
+
+
+def _point_in_polygon(p, pts):
+    """Strict interior test by exact crossing count; p must be off the boundary."""
+    inside = False
+    for a, b in zip(pts, pts[1:] + pts[:1]):
+        if (a[0] > p[0]) != (b[0] > p[0]):
+            o = orient(a, b, p)
+            if b[0] > a[0]:
+                if o < 0:
+                    inside = not inside
+            else:
+                if o > 0:
+                    inside = not inside
+    return inside
+
+
+def reference_validate_adornment(adornment):
+    """validate_adornment over all boundary pairs, with the chord's side
+    read at its midpoint by crossing count; kept as an oracle."""
+    pts = adornment.boundary
+    n = len(pts)
+    if n < 3:
+        raise AdornmentError("polygon needs at least three vertices")
+    if len(set(pts)) != n:
+        raise AdornmentError("repeated boundary vertex")
+    if shoelace2(pts) <= 0:
+        raise AdornmentError("boundary must be counterclockwise")
+    for k in range(n):
+        a, b, c = pts[k - 1], pts[k], pts[(k + 1) % n]
+        if orient(a, b, c) == 0:
+            raise AdornmentError(f"collinear boundary corner at index {k}")
+    for i in range(n):
+        a1, b1 = pts[i], pts[(i + 1) % n]
+        for j in range(i + 1, n):
+            if j == i or (j + 1) % n == i or (i + 1) % n == j:
+                continue
+            a2, b2 = pts[j], pts[(j + 1) % n]
+            if properly_cross(a1, b1, a2, b2):
+                raise AdornmentError("boundary is self-intersecting")
+            for w in (a2, b2):
+                if on_closed_segment(w, a1, b1):
+                    raise AdornmentError("boundary is self-touching")
+            for w in (a1, b1):
+                if on_closed_segment(w, a2, b2):
+                    raise AdornmentError("boundary is self-touching")
+    i, j = adornment.base
+    if not (0 <= i < n and 0 <= j < n) or i == j:
+        raise AdornmentError("base must name two distinct boundary vertices")
+    if (i + 1) % n == j or (j + 1) % n == i:
+        return  # base is a boundary edge
+    p, q = pts[i], pts[j]
+    for k in range(n):
+        a, b = pts[k], pts[(k + 1) % n]
+        if properly_cross(p, q, a, b):
+            raise AdornmentError("base chord crosses the boundary")
+    for k in range(n):
+        if k in (i, j):
+            continue
+        if on_closed_segment(pts[k], p, q):
+            raise AdornmentError("base chord passes through a boundary vertex")
+    mid = ((p[0] + q[0]) / 2, (p[1] + q[1]) / 2)
+    if not _point_in_polygon(mid, pts):
+        raise AdornmentError("base chord lies outside the region")
+
+
+def reference_slender_failures(adornment, mode="closure"):
+    """slender_failures with the base edge and its corners found by
+    location on the closed base; kept as an oracle."""
+    if mode not in ("closure", "interior"):
+        raise AdornmentError(f"unknown mode {mode!r}")
+    reference_validate_adornment(adornment)
+    pts = adornment.boundary
+    n = len(pts)
+    p, q = adornment.base_points()
+    failures = []
+    for k in range(n):
+        v, w = pts[k], pts[(k + 1) % n]
+        if on_closed_segment(v, p, q) and on_closed_segment(w, p, q):
+            continue  # the base edge itself
+        d = vsub(w, v)
+        side_p = cross(d, vsub(p, v))  # positive = inward for CCW
+        side_q = cross(d, vsub(q, v))
+        if side_p < 0 or side_q < 0 or (side_p == 0 and side_q == 0):
+            failures.append((k, "base not on the inward side of the edge"))
+            continue
+        shadow_p = dot(vsub(p, v), d)
+        shadow_q = dot(vsub(q, v), d)
+        if shadow_p == shadow_q:
+            failures.append((k, "edge normals run parallel to the base"))
+            continue
+        if not (
+            min(shadow_p, shadow_q) <= 0
+            and max(shadow_p, shadow_q) >= dot(d, d)
+        ):
+            failures.append((k, "base shadow does not span the edge"))
+    if mode == "closure":
+        base_dir = vsub(q, p)
+        for k in range(n):
+            x = pts[k]
+            if on_closed_segment(x, p, q):
+                continue
+            prev, nxt = pts[(k - 1) % n], pts[(k + 1) % n]
+            if orient(prev, x, nxt) <= 0:
+                continue  # reflex corners carry no normal cone
+            na = rot90ccw(vsub(x, prev))
+            nb = rot90ccw(vsub(nxt, x))
+            for u in (base_dir, (-base_dir[0], -base_dir[1])):
+                if cross(na, u) >= 0 and cross(u, nb) >= 0:
+                    failures.append(
+                        (k, "corner cone contains a base-parallel direction")
+                    )
+                    break
+    return tuple(failures)
+
+
+def random_star_adornment(rng: random.Random):
+    """A simple CCW polygon of 4-8 integer corners around the origin,
+    star-shaped from it, often with reflex corners, and a random base.
+
+    Corners sit at increasing angles on random radii, snapped to the
+    lattice, so some snaps repeat or align corners and fail validation.
+    """
+    n = rng.randint(4, 8)
+    cuts = sorted(rng.uniform(0, 2 * math.pi) for _ in range(n))
+    pts = []
+    for ang in cuts:
+        r = rng.choice([2, 3, 4, 6, 8, 10])
+        pts.append((round(r * math.cos(ang)), round(r * math.sin(ang))))
+    return Adornment(tuple(pts), tuple(rng.sample(range(n), 2)))
+
+
+def random_grid_adornment(rng: random.Random):
+    """3-6 corners anywhere on a small grid, and a base that may name
+    one corner twice or leave the range: mostly invalid polygons."""
+    n = rng.randint(3, 6)
+    pts = tuple((rng.randint(0, 4), rng.randint(0, 4)) for _ in range(n))
+    base = (rng.randint(0, n), rng.randint(0, n - 1))
+    if n == 3 and rng.random() < 0.1:
+        pts = pts[:2]
+    return Adornment(pts, base)
 
 
 def reference_is_nontouching(linkage, configuration):

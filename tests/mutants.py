@@ -40,6 +40,7 @@ class Mutant(NamedTuple):
 
 VALIDATOR = "tests/test_validator.py::"
 CORRIDORS = "tests/test_corridors.py::"
+ADORNMENTS = "tests/test_adornments.py::"
 PLANTED = "tests/test_perturb.py::test_planted_miss_raises_its_witness_after_one_construction"
 
 MUTANTS = (
@@ -339,8 +340,49 @@ MUTANTS = (
         "validate_adornment(adornment)\n    pts = adornment.boundary\n    idx",
         "pts = adornment.boundary\n    idx",
         (
-            "tests/test_adornments.py::test_adorned_chain_validates_each_polygon_first",
-            "tests/test_adornments.py::test_adornments_validated_once_per_polygon",
+            ADORNMENTS + "test_adorned_chain_validates_each_polygon_first",
+            ADORNMENTS + "test_adornments_validated_once_per_polygon",
+        ),
+    ),
+    Mutant(
+        "slender base edge read as any edge from a base end",
+        "adornments.py",
+        "if {k, (k + 1) % n} == base:",
+        "if k in base:",
+        (
+            ADORNMENTS + "test_adornments_match_reference_random",
+            ADORNMENTS + "test_slender_failures_outward_base_and_reflex_corners",
+        ),
+    ),
+    Mutant(
+        "chord cone test takes either side at a convex corner",
+        "adornments.py",
+        "(left and right) if orient(prev, p, nxt) > 0 else (left or right)",
+        "(left or right) if orient(prev, p, nxt) > 0 else (left and right)",
+        (
+            ADORNMENTS + "test_adornments_match_reference_random",
+            ADORNMENTS + "test_validate_adornment_branches[convex-end-outside]",
+            ADORNMENTS + "test_validate_adornment_branches[reflex-end-inside]",
+        ),
+    ),
+    Mutant(
+        "boundary pair skip forgets the wrap-around neighbours",
+        "adornments.py",
+        "if (j + 1) % n == i or (i + 1) % n == j:",
+        "if (i + 1) % n == j:",
+        (
+            ADORNMENTS + "test_adornments_match_reference_random",
+            ADORNMENTS + "test_slender_verdicts_both_modes",
+        ),
+    ),
+    Mutant(
+        "isolated vertex sent along the bar that holds it",
+        "perturb.py",
+        "if all(cross(g, d) for d in along):",
+        "if True:",
+        (
+            "tests/test_perturb.py::test_perturb_isolated_vertices_inside_a_bar",
+            "tests/test_cli.py::test_perturb_and_render_an_isolated_vertex_inside_a_bar",
         ),
     ),
     Mutant(

@@ -5,7 +5,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import count_calls, random_adorned_chain, reference_epsilon
+from helpers import (
+    _point_in_polygon,
+    count_calls,
+    random_adorned_chain,
+    random_grid_adornment,
+    random_star_adornment,
+    reference_epsilon,
+    reference_slender_failures,
+    reference_validate_adornment,
+)
 import linkfold.adornments
 from linkfold.adornments import (
     Adornment,
@@ -15,7 +24,6 @@ from linkfold.adornments import (
     slender_failures,
     triangulate,
     validate_adornment,
-    _point_in_polygon,
 )
 from linkfold.errors import AdornmentError
 from linkfold.geometry import orient, shoelace2
@@ -105,6 +113,123 @@ def test_validate_adornment_errors():
         )
     # interior chord of a convex polygon is fine
     validate_adornment(Adornment(((0, 0), (1, 0), (1, 1), (0, 1)), (1, 3)))
+
+
+# two lobes pinched where corner (3, 0) meets the side along y = 0: listed
+# from (0, 0) the later corner touches the earlier side, listed from
+# (3, 0) the earlier corner touches the later side
+PINCHED = ((0, 0), (6, 0), (6, 4), (4, 4), (3, 0), (2, 4), (0, 4))
+PINCHED_ROTATED = PINCHED[4:] + PINCHED[:4]
+# a square notched from above: corner 3 is reflex
+NOTCHED = ((0, 0), (4, 0), (4, 3), (2, 1), (0, 3))
+# open to the right: corners 3 and 4 are reflex
+C_SHAPE = ((0, 0), (4, 0), (4, 1), (1, 1), (1, 3), (4, 3), (4, 4), (0, 4))
+
+
+@pytest.mark.parametrize(
+    "boundary, base, message",
+    [
+        (PINCHED, (0, 1), "boundary is self-touching"),
+        (PINCHED_ROTATED, (0, 1), "boundary is self-touching"),
+        (NOTCHED, (0, 2), "base chord crosses the boundary"),
+        (C_SHAPE, (1, 5), "base chord passes through a boundary vertex"),
+        (NOTCHED, (1, 3), None),
+        (NOTCHED, (2, 4), "base chord lies outside the region"),
+        (NOTCHED, (3, 0), None),
+        (C_SHAPE, (3, 5), "base chord lies outside the region"),
+    ],
+    ids=[
+        "touch-later",
+        "touch-earlier",
+        "chord-crosses",
+        "chord-through-vertex",
+        "convex-end-inside",
+        "convex-end-outside",
+        "reflex-end-inside",
+        "reflex-end-outside",
+    ],
+)
+def test_validate_adornment_branches(boundary, base, message):
+    shape = Adornment(boundary, base)
+    for check in (validate_adornment, reference_validate_adornment):
+        if message is None:
+            check(shape)
+            continue
+        with pytest.raises(AdornmentError) as exc:
+            check(shape)
+        assert str(exc.value) == message
+
+
+def test_slender_failures_outward_base_and_reflex_corners():
+    # the C's inner sides 3 and 4 face away from the base along y = 0,
+    # and its reflex corners 3 and 4 carry no normal cone, though the
+    # cone test alone would find the base direction at corner 3
+    shape = Adornment(C_SHAPE, (0, 1))
+    edges = (
+        (1, "edge normals run parallel to the base"),
+        (3, "base not on the inward side of the edge"),
+        (4, "base not on the inward side of the edge"),
+        (5, "edge normals run parallel to the base"),
+        (7, "edge normals run parallel to the base"),
+    )
+    corners = tuple(
+        (k, "corner cone contains a base-parallel direction") for k in (2, 5, 6, 7)
+    )
+    assert slender_failures(shape, "interior") == edges
+    assert slender_failures(shape) == edges + corners
+
+
+ADORNMENT_MESSAGES = {
+    "polygon needs at least three vertices",
+    "repeated boundary vertex",
+    "boundary must be counterclockwise",
+    "collinear boundary corner",
+    "boundary is self-intersecting",
+    "boundary is self-touching",
+    "base must name two distinct boundary vertices",
+    "base chord crosses the boundary",
+    "base chord passes through a boundary vertex",
+    "base chord lies outside the region",
+}
+SLENDER_REASONS = {
+    "base not on the inward side of the edge",
+    "edge normals run parallel to the base",
+    "base shadow does not span the edge",
+    "corner cone contains a base-parallel direction",
+}
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except AdornmentError as exc:
+        return str(exc)
+
+
+def test_adornments_match_reference_random():
+    # star-shaped polygons, with chord bases and reflex corners, and grid
+    # polygons that mostly fail: every message and every reason must occur
+    rng = random.Random(27)
+    messages, reasons, chords, reflex = set(), set(), 0, 0
+    for _ in range(400):
+        for shape in (random_star_adornment(rng), random_grid_adornment(rng)):
+            got = _outcome(validate_adornment, shape)
+            assert got == _outcome(reference_validate_adornment, shape), shape
+            if got is not None:
+                messages.add(got.split(" at index")[0])
+                continue
+            pts, (i, j), n = shape.boundary, shape.base, len(shape.boundary)
+            chords += (i - j) % n not in (1, n - 1)
+            reflex += any(
+                orient(pts[k - 1], pts[k], pts[(k + 1) % n]) < 0 for k in range(n)
+            )
+            for mode in ("closure", "interior"):
+                failures = slender_failures(shape, mode)
+                assert failures == reference_slender_failures(shape, mode), shape
+                reasons.update(reason for _, reason in failures)
+    assert messages == ADORNMENT_MESSAGES
+    assert reasons == SLENDER_REASONS
+    assert chords and reflex
 
 
 def test_triangulate_triangle_identity():

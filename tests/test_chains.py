@@ -322,3 +322,20 @@ def test_interpolate_certifies_slack_afresh():
     blend = convex_interpolate(ca, cb, F(1, 2)).configuration
     assert blend.epsilon > F(1, 10**12) * 2**199
     assert not configuration_membership(L, blend.placement, blend.epsilon / 2)
+
+
+def test_interpolate_pairs_bars_by_id():
+    # one 3-4-3-4 rectangle, with its second copy listing e2 before e1
+    specs = [
+        ("e0", "v0", "v1", 3),
+        ("e1", "v1", "v2", 4),
+        ("e2", "v2", "v3", 3),
+        ("e3", "v3", "v0", 4),
+    ]
+    coords = {"v0": (0, 0), "v1": (3, 0), "v2": (3, 4), "v3": (0, 4)}
+    ca = conf(mk_linkage(specs), coords)
+    cb = conf(mk_linkage([specs[0], specs[2], specs[1], specs[3]]), coords)
+    blend = convex_interpolate(ca, cb, F(1, 2)).configuration
+    rest = {e.id: e.rest_length for e in blend.linkage.edges}
+    assert rest == {"e0": 3, "e1": 4, "e2": 3, "e3": 4}
+    assert blend.epsilon == 0

@@ -195,6 +195,38 @@ def test_input_errors(capsys, tmp_path):
     assert code == 1 and err.startswith("error: $.edges[0].id: ")
 
 
+DANGLING = "edge e2: dangling endpoint"
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, path, message",
+    [
+        ("abcb", [("e1", "a", "b")], "$.vertices[3].id", "duplicate vertex ids"),
+        (
+            "abc",
+            [("e1", "a", "b"), ("e2", "b", "c"), ("e1", "a", "c")],
+            "$.edges[2].id",
+            "duplicate edge ids",
+        ),
+        ("abc", [("e1", "a", "b"), ("e2", "z", "c")], "$.edges[1].tail", DANGLING),
+        ("abc", [("e1", "a", "b"), ("e2", "b", "z")], "$.edges[1].head", DANGLING),
+    ],
+    ids=["vertex-id", "edge-id", "tail", "head"],
+)
+def test_linkage_errors_name_their_element(
+    capsys, tmp_path, vertices, edges, path, message
+):
+    # each used to be reported at $.edges, whichever element was at fault
+    doc = {
+        "format": "linkfold/1",
+        "vertices": [{"id": v, "x": str(k), "y": "0"} for k, v in enumerate(vertices)],
+        "edges": [{"id": e, "tail": t, "head": h, "length": "1"} for e, t, h in edges],
+    }
+    code, _, err = run(capsys, "validate", write(tmp_path / "doc.json", json.dumps(doc)))
+    assert code == 1
+    assert err.strip() == f"error: {path}: {message}"
+
+
 def test_deeply_nested_json_is_a_document_error(capsys, tmp_path):
     # json.loads recurses per nesting level; past the interpreter's limit
     # the document is invalid JSON, reported at $ with exit 1
@@ -317,6 +349,24 @@ def test_perturb_sweep(capsys, tmp_path):
     assert [e["delta"] for e in report["entries"]] == ["1/10", "1/40", "1/160"]
     assert all(e["attempts"] == 1 for e in report["entries"])
     assert "shrinks" in err
+
+
+def test_perturb_and_render_an_isolated_vertex_inside_a_bar(capsys, tmp_path):
+    L = mk_linkage([("e", "a", "b", 2)], vertices=("a", "b", "p"))
+    C = conf(L, {"a": (0, 0), "b": (2, 0), "p": (1, 0)})
+    doc = write(tmp_path / "inside.json", write_document(linkage=L, configuration=C))
+    for delta in ("1/10", "1/1000", "1/1000000000"):
+        out_path = tmp_path / "perturbed.json"
+        code, _, err = run(capsys, "perturb", doc, "--delta", delta, "--out", str(out_path))
+        assert code == 0, err
+        result = parse_linkage_file(out_path.read_text())
+        assert is_nontouching(result.linkage, result.configuration)
+    code, out, err = run(capsys, "perturb", doc, "--delta", "1/10", "--sweep", "3")
+    assert code == 0, err
+    assert json.loads(out)["converging"] is True
+    code, out, err = run(capsys, "render", doc, "--display-delta", "1/10")
+    assert code == 0, err
+    assert out.startswith("<svg")
 
 
 def test_sweep_and_render_validate_once(capsys, tmp_path, monkeypatch):

@@ -367,6 +367,37 @@ def test_perturb_annotation_continuity_on_nontouching_input():
             assert abs(float(val) - ref) <= 10 * float(delta)
 
 
+def test_perturb_isolated_vertices_inside_a_bar():
+    # the first golden direction, angle 0, runs along a horizontal bar, so
+    # an isolated vertex inside one used to be left inside it; here two
+    # share one point of the bar, and a third sits inside a vertical bar
+    L = mk_linkage(
+        [("e", "a", "b", 2), ("f", "c", "d", 2)],
+        vertices=("a", "b", "c", "d", "p", "q", "r"),
+    )
+    C = conf(
+        L,
+        {
+            "a": (0, 0),
+            "b": (2, 0),
+            "c": (5, 0),
+            "d": (5, 2),
+            "p": (1, 0),
+            "q": (1, 0),
+            "r": (5, 1),
+        },
+    )
+    A = annotate(L, C)
+    for d in (F(1, 10), F(1, 1000), F(1, 10**9)):
+        res = perturb(L, C, A, d)
+        assert reference_is_nontouching(res.linkage, res.configuration)
+        assert res.max_displacement_sq <= d * d
+        L2, emap = res.linkage, res.extension_map
+        home = {v: C.placement[emap.original_vertex(v)] for v in L2.vertices}
+        RL, RC = reduce(L2, Configuration(L2, home), emap)
+        assert RL == L and RC.placement == C.placement
+
+
 def test_perturb_extension_structure():
     L, C, A = doubled_chain()
     res = perturb(L, C, A, F(1, 10))
