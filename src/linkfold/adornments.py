@@ -20,11 +20,11 @@ from .geometry import (
     box_pairs,
     cross,
     dot,
+    lattice,
     on_closed_segment,
     orient,
     properly_cross,
     rot90ccw,
-    shoelace2,
     sqdist,
     vsub,
 )
@@ -47,15 +47,31 @@ class Adornment:
     def base_points(self) -> tuple[Point, Point]:
         return self.boundary[self.base[0]], self.boundary[self.base[1]]
 
+    def lattice(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """The boundary's common denominator D and integer images D*p.
+
+        Built the first time asked, then kept. D > 0, so the images give
+        every sign, equality and order the predicates read off the points.
+        """
+        if "_lattice" not in self.__dict__:
+            D, images = lattice(self.boundary)
+            object.__setattr__(self, "_lattice", (D, tuple(images)))
+        return self._lattice
+
+
+def _area2(pts) -> int:
+    """shoelace2 of integer images, summed in ints."""
+    return sum(cross(a, b) for a, b in zip(pts, pts[1:] + pts[:1]))
+
 
 def validate_adornment(adornment: Adornment) -> None:
-    pts = adornment.boundary
+    pts = adornment.lattice()[1]
     n = len(pts)
     if n < 3:
         raise AdornmentError("polygon needs at least three vertices")
     if len(set(pts)) != n:
         raise AdornmentError("repeated boundary vertex")
-    if shoelace2(pts) <= 0:
+    if _area2(pts) <= 0:
         raise AdornmentError("boundary must be counterclockwise")
     for k in range(n):
         a, b, c = pts[k - 1], pts[k], pts[(k + 1) % n]
@@ -113,9 +129,9 @@ def slender_failures(
     if mode not in ("closure", "interior"):
         raise AdornmentError(f"unknown mode {mode!r}")
     validate_adornment(adornment)
-    pts = adornment.boundary
+    pts = adornment.lattice()[1]
     n = len(pts)
-    p, q = adornment.base_points()
+    p, q = pts[adornment.base[0]], pts[adornment.base[1]]
     # once validated, the base's ends are the only boundary vertices on it
     base = set(adornment.base)
     failures: list[tuple[int, str]] = []
@@ -169,12 +185,12 @@ def _in_closed_triangle(p: Point, a: Point, b: Point, c: Point) -> bool:
     )
 
 
-def triangulate(adornment: Adornment) -> tuple[tuple[Point, Point, Point], ...]:
-    """Deterministic ear-clipping triangulation of the region."""
+def _ear_clip(adornment: Adornment) -> list[tuple[int, int, int]]:
+    """Boundary index triples of a deterministic ear clipping, on the images."""
     validate_adornment(adornment)
-    pts = adornment.boundary
+    pts = adornment.lattice()[1]
     idx = list(range(len(pts)))
-    tris: list[tuple[Point, Point, Point]] = []
+    ears: list[tuple[int, int, int]] = []
     while len(idx) > 3:
         for k in range(len(idx)):
             i0 = idx[(k - 1) % len(idx)]
@@ -189,16 +205,26 @@ def triangulate(adornment: Adornment) -> tuple[tuple[Point, Point, Point], ...]:
                 if m not in (i0, i1, i2)
             ):
                 continue
-            tris.append((a, b, c))
+            ears.append((i0, i1, i2))
             idx.pop(k)
             break
         else:
             raise AdornmentError("ear clipping failed; polygon not simple")
-    tris.append((pts[idx[0]], pts[idx[1]], pts[idx[2]]))
-    area2 = sum(orient(a, b, c) for a, b, c in tris)
-    if area2 != shoelace2(pts):
+    ears.append((idx[0], idx[1], idx[2]))
+    area2 = sum(orient(pts[i], pts[j], pts[k]) for i, j, k in ears)
+    if area2 != _area2(pts):
         raise AdornmentError("triangulation does not cover the region")
-    return tuple(tris)
+    return ears
+
+
+def triangulate(adornment: Adornment) -> tuple[tuple[Point, Point, Point], ...]:
+    """Deterministic ear-clipping triangulation of the region.
+
+    Ears are clipped on the integer images and mapped back to the input
+    points by index (Meisters, "Polygons have ears", 1975).
+    """
+    pts = adornment.boundary
+    return tuple((pts[i], pts[j], pts[k]) for i, j, k in _ear_clip(adornment))
 
 
 @dataclass(frozen=True)
@@ -220,44 +246,36 @@ def adorned_chain_to_linkage(chain: AdornedChain) -> tuple[Linkage, Configuratio
     """
     if not chain.adornments:
         raise AdornmentError("empty adorned chain")
-    # triangulate validates each polygon, before the bases are compared
-    triangles = [triangulate(a) for a in chain.adornments]
+    # ear clipping validates each polygon, before the bases are compared
+    ears = [_ear_clip(a) for a in chain.adornments]
     for a, b in zip(chain.adornments, chain.adornments[1:]):
         if a.base_points()[1] != b.base_points()[0]:
             raise AdornmentError("consecutive bases do not share an endpoint")
 
-    vid: dict[Point, str] = {}
+    node: dict[Point, int] = {}  # exact location -> node, across adornments
+    bars: dict[tuple[int, int], Fraction] = {}  # end nodes -> squared length
+    for a, tris in zip(chain.adornments, ears):
+        D, U = a.lattice()
+        ids = [node.setdefault(p, len(node)) for p in a.boundary]
+        sides = [e for t0, t1, t2 in tris for e in ((t0, t1), (t1, t2), (t2, t0))]
+        for i, j in sides + [a.base]:
+            if U[j] < U[i]:  # ends in location order, as the images give it
+                i, j = j, i
+            if (ids[i], ids[j]) not in bars:
+                bars[ids[i], ids[j]] = Fraction(sqdist(U[i], U[j]), D * D)
 
-    def vertex(pt: Point) -> str:
-        if pt not in vid:
-            vid[pt] = f"v{len(vid)}"
-        return vid[pt]
-
-    seen: set[tuple[Point, Point]] = set()
-    bars: list[tuple[Point, Point]] = []
-
-    def add(u: Point, w: Point) -> None:
-        key = (u, w) if u <= w else (w, u)
-        if key in seen:
-            return
-        seen.add(key)
-        bars.append(key)
-
-    for a, tris in zip(chain.adornments, triangles):
-        for t0, t1, t2 in tris:
-            add(t0, t1)
-            add(t1, t2)
-            add(t2, t0)
-        bp = a.base_points()
-        add(bp[0], bp[1])
-
+    # vertices are named in the order the bars first reach them
+    points = list(node)
+    names: dict[int, str] = {}
     edges = []
-    for k, (u, w) in enumerate(bars):
-        root = sqrt_lower_bound(sqdist(u, w))
-        edges.append(Edge(f"e{k}", vertex(u), vertex(w), root))
+    for k, ((u, w), d2) in enumerate(bars.items()):
+        root = sqrt_lower_bound(d2)
+        tail = names.setdefault(u, f"v{len(names)}")
+        head = names.setdefault(w, f"v{len(names)}")
+        edges.append(Edge(f"e{k}", tail, head, root))
 
-    linkage = Linkage(tuple(vid[p] for p in vid), tuple(edges))
-    placement = {vertex(p): p for p in vid}
+    linkage = Linkage(tuple(names.values()), tuple(edges))
+    placement = {name: points[u] for u, name in names.items()}
     eps = certify_epsilon(linkage, placement, Fraction(1, 10**10))
     configuration = Configuration(linkage, placement, eps)
     return linkage, configuration

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ChainError
-from .geometry import orient, shoelace2, sign
+from .geometry import cross, shoelace2, sign
 from .linkage import Configuration, DisjointSets, Linkage, certify_epsilon
 
 _BISECT_STEPS = 200
@@ -92,7 +92,12 @@ def canonical_open(linkage: Linkage) -> CanonicalConfiguration:
 
 
 def _bisect_radius(too_small, lo: float, hi: float) -> float:
-    """Double hi until too_small(hi) fails, then bisect [lo, hi] to a radius."""
+    """Double hi until too_small(hi) fails, then bisect [lo, hi] to a radius.
+
+    Each step is a function of (lo, hi) alone, so once a step leaves the
+    bracket unchanged every later one would too: the loop stops there
+    with the radius the full _BISECT_STEPS steps would give.
+    """
     tries = 0
     while too_small(hi):
         hi *= 2.0
@@ -101,10 +106,10 @@ def _bisect_radius(too_small, lo: float, hi: float) -> float:
             raise ChainError("closure equation does not bracket")
     for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
-        if too_small(mid):
-            lo = mid
-        else:
-            hi = mid
+        bracket = (mid, hi) if too_small(mid) else (lo, mid)
+        if bracket == (lo, hi):
+            break
+        lo, hi = bracket
     return 0.5 * (lo + hi)
 
 
@@ -247,10 +252,55 @@ def convex_interpolate(
     return interpolation_frames(conf_a, conf_b, (t,))[0]
 
 
+def _blend(a: Fraction, b: Fraction, p: int, q: int) -> Fraction:
+    """(1 - t) * a + t * b at t = p / q, built as one Fraction."""
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    return Fraction((q - p) * an * bd + p * bn * ad, q * ad * bd)
+
+
+def _turn_coefficients(walk_a, walk_b, turns: int) -> list[tuple[int, int, int]]:
+    """Each turn's orient along the blend of two walks, as integers.
+
+    With P(t) = (1 - t) A + t B, orient(P_i, P_i+1, P_i+2) is
+    k0 (1 - t)^2 + k1 (1 - t) t + k2 t^2; turn i gives (k0, k1, k2) times
+    a positive integer, so at t = p / q its sign is that of
+    k0 r^2 + k1 r p + k2 p^2 with r = q - p. Each vertex is S(t) / w, w
+    the product of its four denominators and S(t) a blend of integer
+    vectors. No lattice spans the whole walk: the two placements'
+    denominators are unrelated, so a common one can run to thousands of
+    bits.
+    """
+    homs = []
+    for (ax, ay), (bx, by) in zip(walk_a, walk_b):
+        xd, yd = ax.denominator * bx.denominator, ay.denominator * by.denominator
+        homs.append(
+            (
+                xd * yd,
+                (ax.numerator * bx.denominator * yd, ay.numerator * by.denominator * xd),
+                (bx.numerator * ax.denominator * yd, by.numerator * ay.denominator * xd),
+            )
+        )
+    m = len(homs)
+    out = []
+    for i in range(turns):
+        (w0, a0, b0), (w1, a1, b1), (w2, a2, b2) = (homs[(i + d) % m] for d in range(3))
+        # P1 - P0 and P2 - P0 over the positive w0 * w1 and w0 * w2
+        ua = (w0 * a1[0] - w1 * a0[0], w0 * a1[1] - w1 * a0[1])
+        ub = (w0 * b1[0] - w1 * b0[0], w0 * b1[1] - w1 * b0[1])
+        va = (w0 * a2[0] - w2 * a0[0], w0 * a2[1] - w2 * a0[1])
+        vb = (w0 * b2[0] - w2 * b0[0], w0 * b2[1] - w2 * b0[1])
+        out.append((cross(ua, va), cross(ua, vb) + cross(ub, va), cross(ub, vb)))
+    return out
+
+
 def interpolation_frames(
     conf_a: Configuration, conf_b: Configuration, ts
 ) -> tuple[InterpolationResult, ...]:
-    """convex_interpolate at every t in ts, checking the pair only once."""
+    """convex_interpolate at every t in ts, checking the pair only once.
+
+    A closed walk polygon of zero area has no turning direction, so it
+    blends with a closed chain turning either way.
+    """
     ts = [Fraction(t) for t in ts]
     if not all(0 <= t <= 1 for t in ts):
         raise ChainError("interpolation parameter must lie in [0, 1]")
@@ -260,30 +310,31 @@ def interpolation_frames(
         raise ChainError("interpolation needs two chains of the same kind")
     if sa.vertices != sb.vertices or sa.edges != sb.edges:
         raise ChainError("chains disagree on structure")
-    if sa.kind == "closed" and turning_direction(conf_a) != turning_direction(conf_b):
+    walk_a = [conf_a.placement[v] for v in sa.vertices]
+    walk_b = [conf_b.placement[v] for v in sa.vertices]
+    if sa.kind == "closed" and sign(shoelace2(walk_a)) * sign(shoelace2(walk_b)) < 0:
         raise ChainError("closed chains turn in opposite directions")
     floor = max(conf_a.epsilon, conf_b.epsilon) or Fraction(1, 10**12)
     m = len(sa.vertices)
     turns = m if sa.kind == "closed" else m - 2  # open walks do not wrap
+    coefficients = _turn_coefficients(walk_a, walk_b, turns)
     pairs = [(ea, lb.edges[lb.edge_index(ea.id)]) for ea in la.edges]
     frames = []
     for t in ts:
+        p, q = t.numerator, t.denominator
         edges = []
         for ea, eb in pairs:
-            rest = (1 - t) * ea.rest_length + t * eb.rest_length
+            rest = _blend(ea.rest_length, eb.rest_length, p, q)
             edges.append(type(ea)(ea.id, ea.tail, ea.head, rest))
         linkage = Linkage(la.vertices, tuple(edges))
         placement = {}
         for v in la.vertices:
             ax, ay = conf_a.placement[v]
             bx, by = conf_b.placement[v]
-            placement[v] = ((1 - t) * ax + t * bx, (1 - t) * ay + t * by)
+            placement[v] = (_blend(ax, bx, p, q), _blend(ay, by, p, q))
         eps = certify_epsilon(linkage, placement, floor)
         conf = Configuration(linkage, placement, eps)
-        pts = [placement[v] for v in sa.vertices]
-        signs = {
-            sign(orient(pts[i], pts[(i + 1) % m], pts[(i + 2) % m]))
-            for i in range(turns)
-        }
+        rr, rp, pp = (q - p) * (q - p), (q - p) * p, p * p
+        signs = {sign(k0 * rr + k1 * rp + k2 * pp) for k0, k1, k2 in coefficients}
         frames.append(InterpolationResult(conf, len(signs - {0}) <= 1, t))
     return tuple(frames)

@@ -44,7 +44,12 @@ from linkfold.geometry import (
     vsub,
 )
 from linkfold.document import SparseAnnotation, parse_linkage_file, resolve_annotations
-from linkfold.chains import ChainShape
+from linkfold.chains import (
+    ChainShape,
+    InterpolationResult,
+    classify_chain,
+    turning_direction,
+)
 from linkfold.errors import (
     AdornmentError,
     ChainError,
@@ -57,6 +62,7 @@ from linkfold.linkage import (
     DisjointSets,
     Edge,
     Linkage,
+    certify_epsilon,
     configuration_membership,
     is_nontouching,
     merged_vertex_partition,
@@ -591,6 +597,88 @@ def perturbed_closed_pair(rng: random.Random):
             return lens1, lens2
 
 
+def reference_bisect_radius(too_small, lo, hi):
+    """_bisect_radius with all 200 bisection steps; kept as an oracle."""
+    tries = 0
+    while too_small(hi):
+        hi *= 2.0
+        tries += 1
+        if tries > 400:
+            raise ChainError("closure equation does not bracket")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if too_small(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def reference_interpolation_frames(conf_a, conf_b, ts):
+    """interpolation_frames with Fraction blends and every frame's turns
+    read by orient on its own placement; kept as an oracle. It refuses a
+    closed walk of zero area, as turning_direction does."""
+    ts = [F(t) for t in ts]
+    if not all(0 <= t <= 1 for t in ts):
+        raise ChainError("interpolation parameter must lie in [0, 1]")
+    la, lb = conf_a.linkage, conf_b.linkage
+    sa, sb = classify_chain(la), classify_chain(lb)
+    if sa.kind == "other" or sa.kind != sb.kind:
+        raise ChainError("interpolation needs two chains of the same kind")
+    if sa.vertices != sb.vertices or sa.edges != sb.edges:
+        raise ChainError("chains disagree on structure")
+    if sa.kind == "closed" and turning_direction(conf_a) != turning_direction(conf_b):
+        raise ChainError("closed chains turn in opposite directions")
+    floor = max(conf_a.epsilon, conf_b.epsilon) or F(1, 10**12)
+    m = len(sa.vertices)
+    turns = m if sa.kind == "closed" else m - 2
+    pairs = [(ea, lb.edges[lb.edge_index(ea.id)]) for ea in la.edges]
+    frames = []
+    for t in ts:
+        edges = []
+        for ea, eb in pairs:
+            rest = (1 - t) * ea.rest_length + t * eb.rest_length
+            edges.append(Edge(ea.id, ea.tail, ea.head, rest))
+        linkage = Linkage(la.vertices, tuple(edges))
+        placement = {}
+        for v in la.vertices:
+            ax, ay = conf_a.placement[v]
+            bx, by = conf_b.placement[v]
+            placement[v] = ((1 - t) * ax + t * bx, (1 - t) * ay + t * by)
+        eps = certify_epsilon(linkage, placement, floor)
+        conf = Configuration(linkage, placement, eps)
+        pts = [placement[v] for v in sa.vertices]
+        signs = {
+            sign(orient(pts[i], pts[(i + 1) % m], pts[(i + 2) % m]))
+            for i in range(turns)
+        }
+        frames.append(InterpolationResult(conf, len(signs - {0}) <= 1, t))
+    return tuple(frames)
+
+
+def random_convex_corners(rng: random.Random, k: int):
+    """The k corners of a CCW convex polygon with rational corners,
+    listed from a random one: the hull of random points, drawn until it
+    has k corners."""
+    def half(points):
+        out = []
+        for p in points:
+            while len(out) >= 2 and orient(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    while True:
+        den = rng.choice((1, 2, 3, 7))
+        pts = sorted(
+            {(F(rng.randint(-9, 9), den), F(rng.randint(-9, 9), den)) for _ in range(2 * k)}
+        )
+        hull = half(pts) + half(pts[::-1])
+        if len(hull) == k:
+            s = rng.randrange(k)
+            return hull[s:] + hull[:s]
+
+
 def assignment_of(placement):
     out = {}
     for v, (x, y) in placement.items():
@@ -755,6 +843,109 @@ def reference_slender_failures(adornment, mode="closure"):
                     )
                     break
     return tuple(failures)
+
+
+def reference_triangulate(adornment):
+    """triangulate with ear clipping on the Fraction points; kept as an oracle."""
+    reference_validate_adornment(adornment)
+    pts = adornment.boundary
+    idx = list(range(len(pts)))
+    tris = []
+
+    def in_closed_triangle(p, a, b, c):
+        return orient(a, b, p) >= 0 and orient(b, c, p) >= 0 and orient(c, a, p) >= 0
+
+    while len(idx) > 3:
+        for k in range(len(idx)):
+            i0 = idx[(k - 1) % len(idx)]
+            i1 = idx[k]
+            i2 = idx[(k + 1) % len(idx)]
+            a, b, c = pts[i0], pts[i1], pts[i2]
+            if orient(a, b, c) <= 0:
+                continue
+            if any(
+                in_closed_triangle(pts[m], a, b, c)
+                for m in idx
+                if m not in (i0, i1, i2)
+            ):
+                continue
+            tris.append((a, b, c))
+            idx.pop(k)
+            break
+        else:
+            raise AdornmentError("ear clipping failed; polygon not simple")
+    tris.append((pts[idx[0]], pts[idx[1]], pts[idx[2]]))
+    area2 = sum(orient(a, b, c) for a, b, c in tris)
+    if area2 != shoelace2(pts):
+        raise AdornmentError("triangulation does not cover the region")
+    return tuple(tris)
+
+
+def reference_adorned_chain_to_linkage(chain):
+    """adorned_chain_to_linkage with bars keyed and ordered by Fraction
+    points and squared lengths taken on them; kept as an oracle."""
+    if not chain.adornments:
+        raise AdornmentError("empty adorned chain")
+    triangles = [reference_triangulate(a) for a in chain.adornments]
+    for a, b in zip(chain.adornments, chain.adornments[1:]):
+        if a.base_points()[1] != b.base_points()[0]:
+            raise AdornmentError("consecutive bases do not share an endpoint")
+    vid = {}
+
+    def vertex(pt):
+        if pt not in vid:
+            vid[pt] = f"v{len(vid)}"
+        return vid[pt]
+
+    seen, bars = set(), []
+
+    def add(u, w):
+        key = (u, w) if u <= w else (w, u)
+        if key not in seen:
+            seen.add(key)
+            bars.append(key)
+
+    for a, tris in zip(chain.adornments, triangles):
+        for t0, t1, t2 in tris:
+            add(t0, t1)
+            add(t1, t2)
+            add(t2, t0)
+        add(*a.base_points())
+    edges = []
+    for k, (u, w) in enumerate(bars):
+        root = sqrt_lower_bound(sqdist(u, w))
+        edges.append(Edge(f"e{k}", vertex(u), vertex(w), root))
+    linkage = Linkage(tuple(vid[p] for p in vid), tuple(edges))
+    placement = {vertex(p): p for p in vid}
+    eps = certify_epsilon(linkage, placement, F(1, 10**10))
+    return linkage, Configuration(linkage, placement, eps)
+
+
+def random_capped_chain(rng: random.Random, m: int):
+    """m adornments on consecutive bases along a rotated, shifted line.
+
+    Each is its base and a cap of one to three corners above it, x-monotone,
+    so it is simple; a one-corner cap is a triangle whose apex may be blunt
+    or slender, longer caps may carry reflex or collinear corners. The
+    rotation by a Pythagorean direction and the shift give every adornment
+    its own denominators.
+    """
+    a, b, c = rng.choice(((1, 0, 1), (3, 4, 5), (5, 12, 13), (8, 15, 17)))
+    sx = F(rng.randint(-50, 50), rng.choice((1, 7, 11)))
+    sy = F(rng.randint(-50, 50), rng.choice((1, 3, 13)))
+
+    def place(x, y):
+        return (sx + (a * x - b * y) / c, sy + (b * x + a * y) / c)
+
+    adornments, x = [], F(0)
+    for _ in range(m):
+        w = F(rng.randint(1, 12), rng.choice((1, 2, 3, 5)))
+        us = sorted(rng.sample(range(1, 20), rng.choice((1, 1, 2, 3))), reverse=True)
+        cap = [(x + w * F(u, 20), w * F(rng.randint(1, 24), 16)) for u in us]
+        pts = [(x, F(0)), (x + w, F(0))] + cap
+        adornments.append(Adornment(tuple(place(*pt) for pt in pts), (0, 1)))
+        x += w
+    return AdornedChain(tuple(adornments))
 
 
 def random_star_adornment(rng: random.Random):
@@ -1764,6 +1955,39 @@ def count_calls(monkeypatch, module, names):
             if getattr(mod, "__name__", "").split(".")[0] == "linkfold":
                 if getattr(mod, name, None) is original:
                     monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+FRACTION_OPS = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__neg__", "__pow__",
+)
+
+
+def count_fractions(monkeypatch):
+    """Count Fraction work from here on: a dict whose "built" counts calls
+    of Fraction.__new__ and whose "ops" counts arithmetic method calls.
+
+    An operation that builds its result through the constructor counts in
+    both; counting the methods as well catches versions whose arithmetic
+    builds results without calling __new__.
+    """
+    counts = {"built": 0, "ops": 0}
+    new = Fraction.__new__
+
+    def built(cls, *args, **kwargs):
+        counts["built"] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", built)
+    for name in FRACTION_OPS:
+        method = getattr(Fraction, name)
+
+        def op(*args, _method=method):
+            counts["ops"] += 1
+            return _method(*args)
+
+        monkeypatch.setattr(Fraction, name, op)
     return counts
 
 

@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 VALIDATOR = "tests/test_validator.py::"
 CORRIDORS = "tests/test_corridors.py::"
 ADORNMENTS = "tests/test_adornments.py::"
+CHAINS = "tests/test_chains.py::"
 PLANTED = "tests/test_perturb.py::test_planted_miss_raises_its_witness_after_one_construction"
 
 MUTANTS = (
@@ -337,8 +338,8 @@ MUTANTS = (
     Mutant(
         "adorned chain bars from unvalidated polygons",
         "adornments.py",
-        "validate_adornment(adornment)\n    pts = adornment.boundary\n    idx",
-        "pts = adornment.boundary\n    idx",
+        "validate_adornment(adornment)\n    pts = adornment.lattice()[1]\n    idx",
+        "pts = adornment.lattice()[1]\n    idx",
         (
             ADORNMENTS + "test_adorned_chain_validates_each_polygon_first",
             ADORNMENTS + "test_adornments_validated_once_per_polygon",
@@ -374,6 +375,41 @@ MUTANTS = (
             ADORNMENTS + "test_adornments_match_reference_random",
             ADORNMENTS + "test_slender_verdicts_both_modes",
         ),
+    ),
+    Mutant(
+        "adorned bars scaled by the first adornment's denominator",
+        "adornments.py",
+        "D, U = a.lattice()",
+        "D, U = chain.adornments[0].lattice()[0], a.lattice()[1]",
+        (ADORNMENTS + "test_adorned_geometry_matches_reference_random",),
+    ),
+    Mutant(
+        "adorned bar ends ordered by boundary index",
+        "adornments.py",
+        "if U[j] < U[i]:",
+        "if j < i:",
+        (ADORNMENTS + "test_adorned_geometry_matches_reference_random",),
+    ),
+    Mutant(
+        "blended turn sign without its middle coefficient",
+        "chains.py",
+        "sign(k0 * rr + k1 * rp + k2 * pp)",
+        "sign(k0 * rr + k2 * pp)",
+        (CHAINS + "test_interpolation_frames_match_reference_random",),
+    ),
+    Mutant(
+        "blended turn sign read at 1 - t",
+        "chains.py",
+        "sign(k0 * rr + k1 * rp + k2 * pp)",
+        "sign(k0 * pp + k1 * rp + k2 * rr)",
+        (CHAINS + "test_interpolation_frames_match_reference_random",),
+    ),
+    Mutant(
+        "bisection stops one step before its fixed point",
+        "chains.py",
+        "        if bracket == (lo, hi):\n            break\n",
+        "        if 0.5 * (bracket[0] + bracket[1]) in bracket:\n            break\n",
+        (CHAINS + "test_bisect_radius_stops_at_its_fixed_point",),
     ),
     Mutant(
         "isolated vertex sent along the bar that holds it",

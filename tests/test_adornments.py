@@ -8,11 +8,15 @@ import pytest
 from helpers import (
     _point_in_polygon,
     count_calls,
+    count_fractions,
     random_adorned_chain,
+    random_capped_chain,
     random_grid_adornment,
     random_star_adornment,
+    reference_adorned_chain_to_linkage,
     reference_epsilon,
     reference_slender_failures,
+    reference_triangulate,
     reference_validate_adornment,
 )
 import linkfold.adornments
@@ -402,3 +406,57 @@ def test_adorned_chain_slack_matches_reference():
     for _ in range(20):
         L, C = adorned_chain_to_linkage(random_adorned_chain(rng, 3))
         assert C.epsilon == reference_epsilon(L, C.placement, F(1, 10**10))
+
+
+def _built(convert, chain):
+    L, C = convert(chain)
+    edges = [(e.id, e.tail, e.head, e.rest_length) for e in L.edges]
+    return L.vertices, edges, C.placement, C.epsilon
+
+
+def test_adorned_geometry_matches_reference_random():
+    # triangles and errors of single polygons, then whole chains whose
+    # adornments each have their own denominators, blunt and slender
+    # apexes and caps with reflex or collinear corners
+    rng = random.Random(29)
+    outcomes = set()
+    for _ in range(300):
+        for shape in (random_star_adornment(rng), random_grid_adornment(rng)):
+            got = _outcome(triangulate, shape)
+            assert got == _outcome(reference_triangulate, shape), shape
+            chain = AdornedChain((shape,))
+            assert _outcome(_built, adorned_chain_to_linkage, chain) == _outcome(
+                _built, reference_adorned_chain_to_linkage, chain
+            )
+            outcomes.add(isinstance(got, str))
+    assert outcomes == {True, False}
+    slender = set()
+    for _ in range(60):
+        chains = (random_capped_chain(rng, rng.randint(1, 8)), random_adorned_chain(rng, 4))
+        for chain in chains:
+            got = _outcome(_built, adorned_chain_to_linkage, chain)
+            assert got == _outcome(_built, reference_adorned_chain_to_linkage, chain)
+            if not isinstance(got, str):
+                slender.update(is_strictly_slender(a) for a in chain.adornments)
+    assert slender == {True, False}
+
+
+def test_adornment_predicates_build_no_fractions(monkeypatch):
+    # validation, both slender modes and ear clipping read only the integer
+    # images, which the lattice builds from numerators and denominators
+    rng = random.Random(8)
+    shapes = [random_star_adornment(rng) for _ in range(40)]
+    shapes += random_capped_chain(rng, 30).adornments + (Adornment(C_SHAPE, (0, 1)),)
+    counts = count_fractions(monkeypatch)
+    valid = 0
+    for shape in shapes:
+        try:
+            validate_adornment(shape)
+        except AdornmentError:
+            continue
+        valid += 1
+        slender_failures(shape, "interior")
+        slender_failures(shape, "closure")
+        triangulate(shape)
+    assert counts == {"built": 0, "ops": 0}
+    assert valid > 40

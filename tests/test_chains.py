@@ -7,27 +7,37 @@ from fractions import Fraction as F
 import pytest
 
 from helpers import (
+    big_eps,
     closed_chain_linkage,
     conf,
+    count_fractions,
     mk_linkage,
     perturbed_closed_pair,
     random_closed_lengths,
+    random_convex_corners,
     random_linkage,
     random_zero_linkage,
+    reference_bisect_radius,
     reference_classify_chain,
+    reference_interpolation_frames,
     straight_chain,
 )
+import linkfold.chains
 from linkfold.chains import (
+    _bisect_radius,
     canonical_closed,
     canonical_open,
     classify_chain,
     convex_interpolate,
+    interpolation_frames,
     turning_direction,
 )
 from linkfold.errors import ChainError
 from linkfold.linkage import (
+    Configuration,
     Edge,
     Linkage,
+    certify_epsilon,
     check_epsilon_related,
     configuration_membership,
 )
@@ -339,3 +349,157 @@ def test_interpolate_pairs_bars_by_id():
     rest = {e.id: e.rest_length for e in blend.linkage.edges}
     assert rest == {"e0": 3, "e1": 4, "e2": 3, "e3": 4}
     assert blend.epsilon == 0
+
+
+def test_bisect_radius_stops_at_its_fixed_point(monkeypatch):
+    calls = []
+
+    def too_small(r):
+        calls.append(r)
+        return r * r < 2.0
+
+    assert _bisect_radius(too_small, 1.0, 1.5).hex() == reference_bisect_radius(
+        lambda r: r * r < 2.0, 1.0, 1.5
+    ).hex()
+    assert len(calls) < 60
+    # seeded chains of 3 to 64 bars, on both closure branches: the same
+    # float radius, bit for bit, and the same placement as all 200 steps
+    rng = random.Random(2029)
+    chains = [closed_chain_linkage(*random_closed_lengths(rng, 3, k)) for k in (5, 64) * 40]
+    fast = [canonical_closed(L) for L in chains]
+    monkeypatch.setattr(linkfold.chains, "_bisect_radius", reference_bisect_radius)
+    branches = set()
+    for L, c in zip(chains, fast):
+        full = canonical_closed(L)
+        assert c.circumradius.hex() == full.circumradius.hex()
+        assert c.configuration.placement == full.configuration.placement
+        assert c.configuration.epsilon == full.configuration.epsilon
+        # the center lies inside iff the angles at half the longest bar reach 2 pi
+        lengths = [float(e.rest_length) for e in L.edges]
+        lmax = max(lengths)
+        branches.add(sum(2.0 * math.asin(l / lmax) for l in lengths) >= 2.0 * math.pi)
+    assert branches == {True, False}
+
+
+def test_interpolate_flat_closed_chains():
+    # a flat walk has no turning direction, so it blends with itself and
+    # with a chain turning either way
+    flat = canonical_closed(closed_chain_linkage(2, 1, 1), "ccw").configuration
+    frames = interpolation_frames(flat, flat, (0, F(1, 2), 1))
+    assert [r.t for r in frames] == [0, F(1, 2), 1]
+    assert all(r.convex and r.configuration.placement == flat.placement for r in frames)
+    for direction in ("ccw", "cw"):
+        tri = canonical_closed(closed_chain_linkage(2, F(3, 2), F(3, 2)), direction)
+        frames = interpolation_frames(flat, tri.configuration, (0, F(1, 3), 1))
+        assert all(r.convex for r in frames)
+        assert frames[2].configuration.placement == tri.configuration.placement
+        assert turning_direction(frames[1].configuration) == direction
+
+
+def _frames(frames):
+    return [
+        (
+            r.t,
+            r.convex,
+            r.configuration.epsilon,
+            r.configuration.placement,
+            r.configuration.linkage.vertices,
+            [(e.id, e.tail, e.head, e.rest_length) for e in r.configuration.linkage.edges],
+        )
+        for r in frames
+    ]
+
+
+def _outcome(fn, *args):
+    try:
+        return _frames(fn(*args))
+    except ChainError as exc:
+        return str(exc)
+
+
+def _interpolation_cases(rng):
+    """Pairs of chain placements: canonical closed pairs, whose
+    denominators are unrelated, canonical open pairs, and convex
+    polygons placed as closed or open walks, some turning apart."""
+    cases = []
+    for _ in range(25):
+        lens1, lens2 = perturbed_closed_pair(rng)
+        d = rng.choice(("ccw", "cw"))
+        ca = canonical_closed(closed_chain_linkage(*lens1), d).configuration
+        cb = canonical_closed(closed_chain_linkage(*lens2), d).configuration
+        cases.append((ca, cb))
+    for _ in range(10):
+        n = rng.randint(1, 6)
+        pair = [[F(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(n)] for _ in "ab"]
+        ca, cb = (canonical_open(straight_chain(*lens)[0]).configuration for lens in pair)
+        cases.append((ca, cb))
+    for _ in range(100):
+        k = rng.randint(3, 7)
+        walks = [random_convex_corners(rng, k) for _ in "ab"]
+        if rng.random() < 0.1:
+            walks[1].reverse()
+        closed = rng.random() < 0.6
+        L = closed_chain_linkage(*[1] * k) if closed else straight_chain(*[1] * (k - 1))[0]
+        placements = [{f"v{i}": p for i, p in enumerate(w)} for w in walks]
+        eps = max(big_eps(L, P) for P in placements)
+        cases.append(tuple(conf(L, P, eps) for P in placements))
+    return cases
+
+
+def test_interpolation_frames_match_reference_random():
+    rng = random.Random(29)
+    flags, refused = set(), 0
+    for ca, cb in _interpolation_cases(rng):
+        q = rng.choice((7, 10**6 + 3, 2**61 - 1, 10**40 + 1))
+        ts = [0, 1, F(1, 2), F(rng.randint(1, q - 1), q), F(rng.randint(0, 10**30), 10**30)]
+        got = _outcome(interpolation_frames, ca, cb, ts)
+        assert got == _outcome(reference_interpolation_frames, ca, cb, ts)
+        if isinstance(got, str):
+            refused += 1
+            continue
+        flags.update(frame[1] for frame in got)
+    assert flags == {True, False}
+    assert refused
+
+
+def test_interpolation_signs_and_blends_build_few_fractions(monkeypatch):
+    # certify_epsilon and Configuration's membership check run unchanged on
+    # every frame; besides them, a frame builds each blended coordinate and
+    # rest length as one Fraction and does no Fraction arithmetic at all
+    rng = random.Random(5)
+    pairs = [
+        tuple(
+            canonical_closed(closed_chain_linkage(*lens), "ccw").configuration
+            for lens in perturbed_closed_pair(rng)
+        )
+        for _ in range(3)
+    ]
+    counts = count_fractions(monkeypatch)
+
+    def uncounted(fn):
+        def run(*args, **kwargs):
+            saved = dict(counts)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                counts.update(saved)
+
+        return run
+
+    monkeypatch.setattr(linkfold.chains, "certify_epsilon", uncounted(certify_epsilon))
+    monkeypatch.setattr(
+        Configuration, "__post_init__", uncounted(Configuration.__post_init__)
+    )
+    for ca, cb in pairs:
+        used = {}
+        for n in (2, 20):
+            ts = [F(k, n) for k in range(n + 1)]
+            counts.update(built=0, ops=0)
+            interpolation_frames(ca, cb, ts)
+            used[n] = dict(counts)
+        m = len(ca.linkage.vertices)
+        assert used[20]["ops"] == used[2]["ops"] <= 40 * m
+        # per frame: its t, and per vertex two coordinates and per bar a
+        # blend and Edge's own Fraction(rest)
+        per_frame = 1 + 2 * m + 2 * len(ca.linkage.edges)
+        assert used[20]["built"] - used[2]["built"] <= 18 * per_frame

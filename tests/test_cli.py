@@ -590,12 +590,25 @@ def test_interpolate(capsys, tmp_path):
 def test_interpolate_checks_the_pair_once(capsys, tmp_path, monkeypatch):
     a = square_doc(tmp_path, 1, "sq1.json")
     b = square_doc(tmp_path, F(11, 10), "sq2.json")
-    chains = importlib.import_module("linkfold.chains")
-    calls = count_calls(monkeypatch, chains, ["turning_direction"])
+    geometry = importlib.import_module("linkfold.geometry")
+    calls = count_calls(monkeypatch, geometry, ["shoelace2"])
     code, out, _ = run(capsys, "interpolate", a, b, "--steps", "10")
     assert code == 0
     assert len(parse_linkage_file(out).frames) == 11
-    assert calls["turning_direction"] == 2  # once per input, not once per frame
+    # each input's turning direction once, not once per frame
+    assert calls["shoelace2"] == 2
+
+
+def test_interpolate_a_flat_canonical_chain_with_itself(capsys, tmp_path):
+    flat = str(tmp_path / "flat.json")
+    flat_doc = str(REPO / "tests" / "data" / "docs" / "flat-211.json")
+    assert run(capsys, "canonical", flat_doc, "--out", flat)[0] == 0
+    code, out, err = run(capsys, "interpolate", flat, flat, "--steps", "2")
+    assert code == 0, err
+    frames = parse_linkage_file(out).frames
+    assert [f.t for f in frames] == [0, F(1, 2), 1]
+    assert all(f.placement == frames[0].placement for f in frames)
+    assert "3 frame(s), all convex" in err
 
 
 def test_emit_sa(capsys, tmp_path):
